@@ -4,9 +4,10 @@
  * bench binary registers one google-benchmark entry per evaluated
  * configuration (Iterations(1) — the simulations are deterministic)
  * and prints a paper-style table after the benchmark report.
- * Experiment results are memoized per process; workload traces are
- * additionally cached on disk (STARNUMA_TRACE_DIR, default
- * .trace_cache) so the bench suite captures each workload once.
+ * Experiment results are memoized per process. Set
+ * STARNUMA_CACHE_DIR to share traces and results across bench
+ * binaries through the artifact store (scripts/reproduce.sh does),
+ * so the suite captures each workload once.
  */
 
 #ifndef STARNUMA_BENCH_BENCH_UTIL_HH

@@ -25,12 +25,10 @@ ArtifactCache::store()
     MutexLock lock(mu);
     if (!initialized) {
         initialized = true;
-        // Same gate idiom as the step-A trace cache
-        // (STARNUMA_TRACE_DIR), but default *off*: persisting every
-        // sweep artifact is an opt-in. The code-epoch stub value
-        // "unknown" (no Python at configure time) also keeps the
-        // cache off — without a real file-closure hash, stale
-        // objects could outlive the code that wrote them.
+        // Default *off*: persisting every sweep artifact is an
+        // opt-in. Every key carries a build-time code epoch
+        // (sim/cas/code_epoch.hh), so objects written by older code
+        // are never served.
         const char *env = std::getenv("STARNUMA_CACHE_DIR");
         if (env != nullptr) {
             std::string dir = env;

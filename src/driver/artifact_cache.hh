@@ -1,10 +1,10 @@
 /**
  * @file
- * Process-wide handle on the persistent artifact store plus the
- * cache-tier counters of the incremental sweep engine (DESIGN.md
- * §16). Off by default; enabled by STARNUMA_CACHE_DIR (read once,
- * ""/"0"/"off" keep it disabled, mirroring STARNUMA_TRACE_DIR's
- * gate) or explicitly via enable() from benches and tests.
+ * Process-wide handle on the artifact store — the one persistent
+ * cache — plus the cache-tier counters of the incremental sweep
+ * engine (DESIGN.md §16). Off by default; enabled by
+ * STARNUMA_CACHE_DIR (read once, ""/"0"/"off" keep it disabled) or
+ * explicitly via enable() from benches and tests.
  *
  * Thread safety: the store pointer is published under a Mutex and
  * held by shared_ptr so concurrent sweep entries can keep using a

@@ -8,9 +8,9 @@
  * and invalidates every cached object derived from it.
  *
  * The implementation is generated into the build tree by
- * scripts/gen_code_epoch.py; when the generator cannot run (no
- * Python at build time) a stub returns "unknown" and the cache
- * layer disables itself rather than risk stale hits.
+ * scripts/gen_code_epoch.py. Configure requires a Python 3
+ * interpreter and a generator error fails the build, so there is
+ * no stub epoch under which the store could serve stale objects.
  */
 
 #ifndef STARNUMA_SIM_CAS_CODE_EPOCH_HH
@@ -26,8 +26,7 @@ namespace cas
 /**
  * Epoch digest for @p artifact — "step_a_trace",
  * "step_b_checkpoint", or "pipeline" (the whole-src closure used
- * for end-to-end experiment results). Unknown names and generator
- * failure both return "unknown".
+ * for end-to-end experiment results). An unknown name panics.
  */
 std::string codeEpoch(const std::string &artifact);
 

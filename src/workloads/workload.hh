@@ -59,8 +59,9 @@ std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        std::uint64_t seed = 1);
 
 /**
- * Capture a workload's trace, via the on-disk trace cache when
- * enabled (key includes the scale so SC3 gets its own traces).
+ * Capture a workload's trace: always a fresh run of the kernel.
+ * Persistent reuse goes through the artifact store only
+ * (driver/artifact_cache.hh), whose keys carry the code epoch.
  */
 trace::WorkloadTrace captureWorkload(const std::string &name,
                                      const SimScale &scale,

@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
+#include <vector>
 
 #include "driver/experiment.hh"
 #include "driver/system_setup.hh"
@@ -337,11 +338,11 @@ TEST(Checkpoints, SaveLoadRoundTrip)
     TraceSim sim(setup, s);
     auto result = sim.run(trace);
 
-    std::string path = ::testing::TempDir() + "checkpoints.bin";
-    ASSERT_TRUE(result.save(path));
-
+    std::vector<std::uint8_t> bytes = result.serialize();
     TraceSimResult loaded;
-    ASSERT_TRUE(loaded.load(path));
+    ByteReader r(bytes.data(), bytes.size());
+    ASSERT_TRUE(loaded.deserialize(r));
+    EXPECT_EQ(r.remaining(), 0u);
     ASSERT_EQ(loaded.checkpoints.size(),
               result.checkpoints.size());
     EXPECT_EQ(loaded.footprintPages, result.footprintPages);
@@ -361,18 +362,15 @@ TEST(Checkpoints, SaveLoadRoundTrip)
     auto mb = b.run(trace, loaded);
     EXPECT_DOUBLE_EQ(ma.ipc, mb.ipc);
     EXPECT_DOUBLE_EQ(ma.amatCycles, mb.amatCycles);
-    std::remove(path.c_str());
 }
 
 TEST(Checkpoints, LoadRejectsGarbage)
 {
-    std::string path = ::testing::TempDir() + "bad_checkpoints.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("nonsense", f);
-    std::fclose(f);
-    TraceSimResult r;
-    EXPECT_FALSE(r.load(path));
-    std::remove(path.c_str());
+    const std::vector<std::uint8_t> junk = {'n', 'o', 'n', 's',
+                                            'e', 'n', 's', 'e'};
+    ByteReader r(junk.data(), junk.size());
+    TraceSimResult result;
+    EXPECT_FALSE(result.deserialize(r));
 }
 
 TEST(TimingSim, IndependentPhasesAgreeQualitatively)

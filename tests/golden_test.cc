@@ -15,9 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -129,22 +127,13 @@ TEST(Golden, Fig8SpeedupOrderingPinned)
 
 // --- Byte-stability of every exported artifact across pool sizes ---
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
 /**
- * The step-B checkpoint file and the stats JSON/CSV exports must be
- * byte-identical whether the pool runs 1, 4, or 8 worker threads —
- * the determinism contract the flat-table replay path (DESIGN.md
- * §12) and the canonical merge order both feed. A single changed
- * byte here means some code path let thread scheduling leak into
- * model output or artifact layout.
+ * The step-B checkpoint artifact and the stats JSON/CSV exports
+ * must be byte-identical whether the pool runs 1, 4, or 8 worker
+ * threads — the determinism contract the flat-table replay path
+ * (DESIGN.md §12) and the canonical merge order both feed. A single
+ * changed byte here means some code path let thread scheduling leak
+ * into model output or artifact layout.
  */
 TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
 {
@@ -153,12 +142,10 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
     // dense flat-table path that production runs use.
     auto trace = workloads::makeWorkload("tc")->capture(s);
     obs::StatsSink &sink = obs::StatsSink::global();
-    std::string ckpt_path =
-        testing::TempDir() + "golden_ckpt.bin";
 
     struct Artifacts
     {
-        std::string checkpoints;
+        std::vector<std::uint8_t> checkpoints;
         std::string json;
         std::string csv;
     };
@@ -173,8 +160,7 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
         a.json = sink.collectJson();
         a.csv = sink.collect().csv();
         sink.stop();
-        EXPECT_TRUE(result.save(ckpt_path));
-        a.checkpoints = fileBytes(ckpt_path);
+        a.checkpoints = result.serialize();
         return a;
     };
 
@@ -190,7 +176,6 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
         EXPECT_EQ(a.csv, serial.csv);
     }
     ThreadPool::setGlobalThreads(0);
-    std::remove(ckpt_path.c_str());
 }
 
 } // anonymous namespace

@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "trace/profile.hh"
 #include "workloads/gap.hh"
@@ -162,6 +167,40 @@ TEST(WorkloadRegistry, FirstTouchesCoverFootprint)
     for (const auto &ft : t.firstTouches)
         touchers.insert(ft.thread);
     EXPECT_GT(touchers.size(), 4u);
+}
+
+/**
+ * captureWorkload always runs the kernel and writes nothing: the
+ * artifact store, whose keys carry the code epoch, is the only
+ * persistent cache, so no trace captured by older kernel code can
+ * be served.
+ */
+TEST(CaptureWorkload, LeavesWorkingDirectoryEmpty)
+{
+    namespace fs = std::filesystem;
+    std::string dir = ::testing::TempDir() + "capture_cwd_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    std::optional<std::string> saved_env;
+    if (const char *env = std::getenv("STARNUMA_CACHE_DIR"))
+        saved_env = env;
+    ::unsetenv("STARNUMA_CACHE_DIR");
+    fs::path saved_cwd = fs::current_path();
+    fs::current_path(dir);
+
+    auto a = captureWorkload("bfs", SimScale::tiny(), 1);
+    auto b = captureWorkload("bfs", SimScale::tiny(), 1);
+    std::vector<std::string> left;
+    for (const auto &entry : fs::recursive_directory_iterator(dir))
+        left.push_back(entry.path().string());
+
+    fs::current_path(saved_cwd);
+    if (saved_env)
+        ::setenv("STARNUMA_CACHE_DIR", saved_env->c_str(), 1);
+    fs::remove_all(dir);
+
+    EXPECT_EQ(left, std::vector<std::string>{});
+    EXPECT_GT(a.totalRecords(), 0u);
+    EXPECT_EQ(a.totalRecords(), b.totalRecords());
 }
 
 // --- Kernel correctness ---
