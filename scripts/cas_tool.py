@@ -24,6 +24,8 @@ Exit status: 0 clean, 1 findings (corrupt/invalid objects), 2 usage.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -38,14 +40,11 @@ MAGIC = b"STARCAS1"
 HEADER = struct.Struct("<8sQQQQQ")  # magic, version, klen, plen, hi, lo
 VERSION = 1
 
-# Which code-epoch entry guards each artifact kind. step_b_state
-# deliberately keys by the *step_b_checkpoint* closure (the whole
-# replay loop), the conservative superset of the state encoder's own
-# files; experiment_result keys by the whole-tree "pipeline" epoch.
+# Which code-epoch entry guards each artifact kind;
+# experiment_result keys by the whole-tree "pipeline" epoch.
 KIND_EPOCH = {
     "step_a_trace": "step_a_trace",
     "step_b_checkpoint": "step_b_checkpoint",
-    "step_b_state": "step_b_checkpoint",
     "experiment_result": "pipeline",
 }
 
@@ -316,6 +315,22 @@ def self_test(root):
             expect(False, "truncation accepted")
         except Finding:
             pass
+
+        # An object whose kind the manifest no longer declares (a
+        # store filled by older code) is invalid under verify and
+        # evicted by gc --drop-stale.
+        retired = os.path.join(tmp, "retired")
+        write_object(retired, "kind=retired_artifact\nphase=1\n",
+                     payload)
+        with contextlib.redirect_stdout(io.StringIO()) as log:
+            rc = cmd_verify(argparse.Namespace(store=retired), root)
+        expect(rc == 1 and "INVALID" in log.getvalue(),
+               "retired kind flagged invalid")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cmd_gc(argparse.Namespace(store=retired, max_bytes=None,
+                                      drop_stale=True), root)
+        expect(list_objects(retired) == [],
+               "gc --drop-stale evicts retired kind")
 
         # GC to zero empties the store.
         ns = argparse.Namespace(store=tmp, max_bytes=0,

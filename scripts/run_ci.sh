@@ -5,7 +5,8 @@
 # input manifest, WERROR builds, thread-safety analysis and
 # clang-tidy),
 # the analyze backstop (scripts/check_hotpath_syms.sh over the
-# release disassembly), and the sanitizer matrix
+# disassembly of the RelWithDebInfo tier-1 build and of a separate
+# Release build), and the sanitizer matrix
 # (scripts/run_sanitizers.sh: TSan and ASan+UBSan over ctest), then
 # print a per-stage pass/fail/skip summary with wall times. Stages
 # whose toolchain is absent on this machine (the clang ones on a
@@ -71,9 +72,15 @@ tier1() {
 
 analyze() {
     # Source-level interprocedural discipline, then the binary
-    # backstop over the tier-1 build's disassembly.
+    # backstop over the tier-1 (RelWithDebInfo) build's disassembly
+    # and over a Release build's, so the hot-path guarantee holds at
+    # both optimization levels.
     python3 scripts/starnuma_hotpath.py &&
-        scripts/check_hotpath_syms.sh build
+        scripts/check_hotpath_syms.sh build &&
+        cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
+        cmake --build build-release -j "$(nproc)" \
+              --target starnuma_tests &&
+        scripts/check_hotpath_syms.sh build-release
 }
 
 sweep_guard() {

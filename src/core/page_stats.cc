@@ -41,6 +41,17 @@ PageAccessStats::newBlock()
     return p;
 }
 
+// lint: cold-path sparse FlatMap mode; replay preallocates the flat
+// table for dense captured traces
+STARNUMA_COLD_PATH std::uint32_t *
+PageAccessStats::sparseBlock(PageNum page)
+{
+    auto [it, inserted] = pageCounts.try_emplace(page, nullptr);
+    if (inserted)
+        it->second = newBlock();
+    return it->second;
+}
+
 // lint: cold-path one-time setup before the replay loop
 void
 PageAccessStats::preallocate(PageNum base, std::size_t pages)

@@ -47,16 +47,12 @@ class PageAccessStats
 
     /** Count @p count accesses to page @p page by @p socket. */
     // lint: hot-path one count per replayed record batch (baseline)
-    void
+    STARNUMA_AUDITED_SYMBOL void
     record(PageNum page, NodeId socket, std::uint32_t count = 1)
     {
         std::uint32_t *block;
         if (flat.empty()) {
-            auto [it, inserted] =
-                pageCounts.try_emplace(page, nullptr);
-            if (inserted)
-                it->second = newBlock();
-            block = it->second;
+            block = sparseBlock(page);
         } else {
             std::uint32_t *&slot = flat[flatSlot(page)];
             if (!slot) {
@@ -112,6 +108,13 @@ class PageAccessStats
   private:
     /** A zeroed sockets_-wide counter block from the arena chain. */
     std::uint32_t *newBlock();
+
+    /**
+     * Sparse-mode lookup-or-insert, out of line so the FlatMap's
+     * growth path (and its operator new call) stays out of the
+     * record() hot symbol.
+     */
+    STARNUMA_COLD_PATH std::uint32_t *sparseBlock(PageNum page);
 
     /**
      * Out-of-line first-access append: keeps the vector's

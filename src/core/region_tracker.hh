@@ -82,7 +82,7 @@ class RegionTracker
      * is recorded.
      */
     // lint: hot-path (called once per TLB annex flush)
-    void
+    STARNUMA_AUDITED_SYMBOL void
     record(Addr addr, NodeId socket, std::uint32_t count = 1)
     {
         sn_assert(socket >= 0 && socket < sockets,
@@ -90,7 +90,7 @@ class RegionTracker
         RegionId region = regionOf(addr);
         TrackerEntry *e;
         if (flat.empty()) {
-            e = &entries[region];
+            e = &sparseEntry(region);
         } else {
             std::uint64_t slot = region - flatBase;
             sn_assert(slot < flat.size(),
@@ -173,6 +173,19 @@ class RegionTracker
     noteFirstTouch(RegionId region)
     {
         touchedOrder.push_back(region);
+    }
+
+    /**
+     * Out-of-line sparse-mode lookup-or-insert, for the same reason
+     * as noteFirstTouch(): the FlatMap's growth path (and its
+     * operator new call) stays out of the record() hot symbol.
+     */
+    // lint: cold-path sparse FlatMap mode; replay preallocates the
+    // flat table for dense captured traces
+    STARNUMA_COLD_PATH TrackerEntry &
+    sparseEntry(RegionId region)
+    {
+        return entries[region];
     }
 
     int counterBits_;

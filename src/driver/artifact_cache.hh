@@ -62,13 +62,6 @@ class ArtifactCache
     // full experiment-result bundles
     void noteResultHit() { bump(resultHits_); }
     void noteResultMiss() { bump(resultMisses_); }
-    // differential re-simulation from a stored phase state
-    void notePartialHit(std::uint64_t phases_skipped)
-    {
-        bump(partialHits_);
-        phasesSkipped_.fetch_add(phases_skipped,
-                                 std::memory_order_relaxed);
-    }
     void noteBytesRead(std::uint64_t n)
     {
         bytesRead_.fetch_add(n, std::memory_order_relaxed);
@@ -100,11 +93,6 @@ class ArtifactCache
     {
         return get(resultMisses_);
     }
-    std::uint64_t partialHits() const { return get(partialHits_); }
-    std::uint64_t phasesSkipped() const
-    {
-        return get(phasesSkipped_);
-    }
     std::uint64_t bytesRead() const { return get(bytesRead_); }
     std::uint64_t bytesWritten() const
     {
@@ -117,8 +105,8 @@ class ArtifactCache
     void resetCounters();
 
     /**
-     * Register every counter under @p prefix (hit/miss/partial
-     * counts, bytes, tier seconds) so starnuma_report.py can
+     * Register every counter under @p prefix (hit/miss counts,
+     * bytes, tier seconds) so starnuma_report.py can
      * attribute sweep time to cache tiers.
      */
     void registerStats(obs::Registry &r,
@@ -144,8 +132,6 @@ class ArtifactCache
     std::atomic<std::uint64_t> traceMisses_{0};
     std::atomic<std::uint64_t> resultHits_{0};
     std::atomic<std::uint64_t> resultMisses_{0};
-    std::atomic<std::uint64_t> partialHits_{0};
-    std::atomic<std::uint64_t> phasesSkipped_{0};
     std::atomic<std::uint64_t> bytesRead_{0};
     std::atomic<std::uint64_t> bytesWritten_{0};
     std::atomic<std::uint64_t> hitNanos_{0};

@@ -4,12 +4,11 @@
  * store (DESIGN.md §16). Each artifact kind's key is a multi-line
  * "field=value" text whose field names follow the manifest schema
  * of scripts/artifact_inputs.json (starnuma-artifact-inputs-v1):
- * the declared workload/scale/setup inputs, the policy-schedule
- * prefix, the code-epoch hash of the generating file closure, and
- * one line per declared STARNUMA_* environment gate. Env gates that
- * are byte-invariant by contract (pool size, trace cache location)
- * record the literal value "invariant" so warm hits work across
- * STARNUMA_THREADS settings. scripts/cas_tool.py re-parses these
+ * the declared workload/scale/setup inputs, the code-epoch hash of
+ * the generating file closure, and one line per declared STARNUMA_*
+ * environment gate. Env gates that are byte-invariant by contract
+ * (pool size, store location) record the literal value "invariant"
+ * so warm hits work across STARNUMA_THREADS settings. scripts/cas_tool.py re-parses these
  * texts and validates the field vocabulary against the manifest.
  */
 
@@ -30,20 +29,6 @@ namespace driver
 /** Key text of the step-A columnar trace bytes for a workload. */
 std::string traceKeyText(const std::string &workload,
                          const SimScale &scale);
-
-/**
- * Key text of the step-B resume-state image at the top of
- * migration phase @p phase. Keyed by the policy-schedule *prefix*
- * (entries with fromPhase < phase): two setups that diverge only
- * from phase k onward share every state image up to k, which is
- * exactly what lets the incremental sweep engine resume the
- * divergent cell from phase k.
- */
-std::string stateKeyText(const std::string &workload,
-                         const SystemSetup &setup,
-                         const SimScale &scale,
-                         const cas::Hash128 &trace_content,
-                         int phase);
 
 /**
  * Key text of a full experiment-result bundle (metrics + step-B

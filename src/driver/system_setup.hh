@@ -12,7 +12,6 @@
 #define STARNUMA_DRIVER_SYSTEM_SETUP_HH
 
 #include <string>
-#include <vector>
 
 #include "core/migration.hh"
 #include "core/replication.hh"
@@ -33,21 +32,6 @@ enum class Placement
     StaticOracle
 };
 
-/**
- * A mid-run policy change (DESIGN.md §16): starting at migration
- * phase @c fromPhase, the listed migration knobs replace the
- * engine's current values. Entries are applied in vector order at
- * the top of each phase, so a sweep cell that diverges from another
- * only at phase k shares every artifact before k — the incremental
- * sweep engine resumes such cells from the first divergent phase.
- */
-struct PhasePolicy
-{
-    int fromPhase = 0;
-    double migrationLimitFraction = 0.25;
-    int poolSharerThreshold = 8;
-};
-
 /** One evaluated configuration. */
 struct SystemSetup
 {
@@ -55,9 +39,6 @@ struct SystemSetup
     topology::SystemConfig sys;
     core::MigrationConfig migration;
     Placement placement = Placement::FirstTouchDynamic;
-
-    /** Scheduled mid-run policy changes, sorted by fromPhase. */
-    std::vector<PhasePolicy> phasePolicies;
 
     /** Region size used by the tracker/engine. The paper uses 512 KB
      *  at 16 TB of memory; 16 KB keeps a comparable region count at

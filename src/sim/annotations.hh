@@ -92,4 +92,17 @@
 #define STARNUMA_COLD_PATH
 #endif
 
+/**
+ * Emit an out-of-line copy of an inline hot-path function in every
+ * build type while leaving its callers free to inline it, so
+ * scripts/check_hotpath_syms.sh always finds the symbol it audits.
+ * Without it an optimizer that inlines every call (Release) leaves
+ * the manifest entry matching nothing.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define STARNUMA_AUDITED_SYMBOL __attribute__((used))
+#else
+#define STARNUMA_AUDITED_SYMBOL
+#endif
+
 #endif // STARNUMA_SIM_ANNOTATIONS_HH

@@ -4,12 +4,12 @@
  * encoder: LEB128 varints, zigzag signed mapping, fixed-width
  * little-endian scalars, and the bounds-checked ByteReader cursor.
  *
- * Historically these lived in trace/columnar.hh; they moved down to
- * the sim layer so mem/ and core/ state serializers (the incremental
- * sweep engine's per-phase resume snapshots, DESIGN.md §16) can use
- * them without violating the D6 include DAG. trace/columnar.hh
- * re-exports them into namespace trace, so existing call sites
- * (`trace::putVarint`, `trace::ByteReader`, ...) are unchanged.
+ * They live in the sim layer so the artifact store (sim/cas) and the
+ * driver's step-B checkpoint and result-bundle encoders can share
+ * them with the columnar trace format without violating the D6
+ * include DAG. trace/columnar.hh re-exports them into namespace
+ * trace, so trace-side call sites (`trace::putVarint`,
+ * `trace::ByteReader`, ...) keep their names.
  *
  * Every decoder built on ByteReader is fully bounds-checked:
  * truncation, over-long varints and impossible counts all surface as
@@ -108,8 +108,8 @@ class ByteReader
         return false; // > 10 bytes: corrupt
     }
 
-    /** Fixed-width little-endian u64 (the v1 trace and checkpoint
-     *  headers use fixed fields). @return false on truncation. */
+    /** Fixed-width little-endian u64 (store object headers and the
+     *  step-B checkpoint's doubles). @return false on truncation. */
     bool
     getU64(std::uint64_t &v)
     {

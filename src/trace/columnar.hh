@@ -17,9 +17,9 @@
  * tests/columnar_trace_test.cc under ASan).
  *
  * The varint/ByteReader primitives live in sim/bytes.hh (the step-B
- * checkpoint serialization and the mem/core resume-state encoders
- * share them from below this layer); they are re-exported here so
- * trace-side call sites keep their historical names.
+ * checkpoint and result-bundle encoders share them from the driver
+ * layer); they are re-exported here so trace-side call sites keep
+ * their historical names.
  */
 
 #ifndef STARNUMA_TRACE_COLUMNAR_HH

@@ -3,8 +3,8 @@
  * Incremental sweep engine (DESIGN.md §16): cache-key stability
  * goldens (each declared input perturbs the key; nothing else
  * does), warm-equals-cold byte identity across worker-pool sizes,
- * differential re-simulation from the first divergent phase, and
- * the corruption contract at the experiment tier (a damaged stored
+ * the two store tiers a cold run fills (trace and result), and the
+ * corruption contract at the experiment tier (a damaged stored
  * bundle demotes to recomputation with identical artifacts).
  */
 
@@ -17,11 +17,11 @@
 #include "driver/artifact_cache.hh"
 #include "driver/artifact_key.hh"
 #include "driver/experiment.hh"
-#include "driver/trace_sim.hh"
 #include "sim/cas/hash.hh"
 #include "sim/obs/obs.hh"
 #include "sim/parallel.hh"
 #include "sim/scale.hh"
+#include "trace/columnar.hh"
 
 namespace starnuma
 {
@@ -104,40 +104,6 @@ TEST(CacheKey, ResultKeyPerturbation)
     topo.sys.cxlOneWayNs += 1.0;
     EXPECT_NE(base, driver::resultKeyText("bfs", topo, s,
                                           fakeContent(), false));
-    driver::SystemSetup sched = setup;
-    sched.phasePolicies.push_back({1, 0.5, 4});
-    EXPECT_NE(base, driver::resultKeyText("bfs", sched, s,
-                                          fakeContent(), false));
-}
-
-/**
- * The state key's policy fingerprint covers exactly the schedule
- * *prefix* applied before the snapshot phase — the property the
- * differential resume leans on: cells diverging at phase k share
- * every state object at phases <= k.
- */
-TEST(CacheKey, StateKeyCoversOnlyThePolicyPrefix)
-{
-    SimScale s = SimScale::tiny();
-    driver::SystemSetup shared = driver::SystemSetup::starnuma();
-    driver::SystemSetup diverged = shared;
-    diverged.phasePolicies.push_back({1, 0.10, 2});
-
-    // Phase 1 precedes the divergence: identical keys.
-    EXPECT_EQ(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   1),
-              driver::stateKeyText("bfs", diverged, s,
-                                   fakeContent(), 1));
-    // A later phase sees the diverged prefix: different keys.
-    EXPECT_NE(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   2),
-              driver::stateKeyText("bfs", diverged, s,
-                                   fakeContent(), 2));
-    // Phases key separately.
-    EXPECT_NE(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   1),
-              driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   2));
 }
 
 // --- experiment-tier behaviour -------------------------------------
@@ -203,39 +169,27 @@ TEST(SweepCache, WarmEqualsColdAcrossPoolSizes)
     EXPECT_EQ(driver::ArtifactCache::global().resultHits(), 2u);
 }
 
-TEST(SweepCache, DivergentPolicyResumesFromSharedPhase)
+TEST(SweepCache, ColdRunStoresOnlyTraceAndResult)
 {
-    SimScale s = SimScale::tiny(); // 2 migration phases
-    driver::SystemSetup shared = driver::SystemSetup::starnuma();
-    // Same name (the replay RNG seeds from it — a differently
-    // named setup is a genuinely different simulation), schedule
-    // diverging at phase 1.
-    driver::SystemSetup diverged = shared;
-    diverged.phasePolicies.push_back({1, 0.10, 2});
+    SimScale s = SimScale::tiny();
+    driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    ScopedCache cache_dir("sweep_cache_tiers");
+    std::shared_ptr<cas::Store> store =
+        driver::ArtifactCache::global().store();
 
-    // Reference for the diverged cell, no cache anywhere.
-    driver::ArtifactCache::global().disable();
-    driver::ExperimentResult ref =
-        driver::runExperiment("cc", diverged, s);
+    driver::runExperiment("cc", setup, s);
 
-    ScopedCache cache_dir("sweep_cache_diverge");
-    driver::ArtifactCache &cache = driver::ArtifactCache::global();
-
-    // Cold pass of the shared-prefix cell persists its phase-1
-    // state under the shared policy-prefix key.
-    driver::runExperiment("cc", shared, s);
-    EXPECT_EQ(cache.partialHits(), 0u);
-
-    // The diverged cell misses at the result tier but finds the
-    // phase-1 state: differential re-simulation from phase 1.
-    driver::ExperimentResult out =
-        driver::runExperiment("cc", diverged, s);
-    EXPECT_EQ(cache.partialHits(), 1u);
-    EXPECT_GE(cache.phasesSkipped(), 1u);
-    EXPECT_EQ(out.placement.resumedFromPhase, 1);
-    EXPECT_EQ(placementBytes(out), placementBytes(ref));
-    EXPECT_EQ(driver::metricsSnapshot(out.metrics).values(),
-              driver::metricsSnapshot(ref.metrics).values());
+    cas::Hash128 content = cas::hashBytes(
+        trace::encodeColumnar(driver::workloadTrace("cc", s)));
+    EXPECT_TRUE(store->containsObject(driver::resultKeyText(
+        "cc", setup, s, content,
+        obs::StatsSink::global().enabled())));
+    // The trace memo is process-wide: an earlier test may already
+    // have captured cc, in which case this run never reached the
+    // trace tier and only the result bundle was written.
+    bool has_trace =
+        store->containsObject(driver::traceKeyText("cc", s));
+    EXPECT_EQ(store->listObjects().size(), has_trace ? 2u : 1u);
 }
 
 TEST(SweepCache, CorruptedBundleDemotesToRecompute)
@@ -269,7 +223,6 @@ TEST(SweepCache, CorruptedBundleDemotesToRecompute)
     driver::ExperimentResult redo =
         driver::runExperiment("fmi", setup, s);
     EXPECT_EQ(cache.resultHits(), 0u);
-    EXPECT_EQ(cache.partialHits(), 0u);
     EXPECT_EQ(cache.resultMisses(), 1u);
     EXPECT_EQ(placementBytes(redo), cold_bytes);
 }
