@@ -52,10 +52,13 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** Pages of the 16 MB address range the tracker benches draw from. */
+constexpr PageRange benchPages{PageNum(0), (1u << 24) / pageBytes};
+
 void
 BM_TlbAnnexAccess(benchmark::State &state)
 {
-    core::RegionTracker tracker(16, 16, 16 * 1024);
+    core::RegionTracker tracker(16, 16, 16 * 1024, benchPages);
     core::TlbAnnex tlb({64, 4}, tracker, 0);
     Rng rng(2);
     for (auto _ : state)
@@ -67,7 +70,7 @@ BENCHMARK(BM_TlbAnnexAccess);
 void
 BM_TrackerRecord(benchmark::State &state)
 {
-    core::RegionTracker tracker(16, 16, 16 * 1024);
+    core::RegionTracker tracker(16, 16, 16 * 1024, benchPages);
     Rng rng(3);
     for (auto _ : state)
         tracker.record(rng.next32() & 0xffffff,

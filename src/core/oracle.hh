@@ -26,16 +26,10 @@ namespace core
 class OraclePlacement
 {
   public:
-    explicit OraclePlacement(int sockets) : stats(sockets) {}
-
-    /**
-     * Switch the access-count table to flat storage over
-     * [base, base + pages) (see PageAccessStats::preallocate).
-     */
-    void
-    preallocate(PageNum base, std::size_t pages)
+    /** @param range pages whose accesses are counted. */
+    OraclePlacement(int sockets, PageRange range)
+        : stats(sockets, range)
     {
-        stats.preallocate(base, pages);
     }
 
     /** Whole-run access knowledge feed (all phases). */

@@ -7,11 +7,11 @@
  * hardware-feasible — that is the point of the comparison with
  * StarNUMA's region-granular T_i trackers.
  *
- * This sits on the baseline's per-record hot path, so the counter
- * blocks live in arena-backed flat storage: one FlatMap probe finds
- * the page's block, and the per-socket counters are a contiguous
- * uint32_t array bump-allocated from a chained arena (one malloc'd
- * vector per page would dominate the replay profile).
+ * This sits on the baseline's per-record hot path, so the counters
+ * are one dense row-major (pages x sockets) uint32_t table over the
+ * page range given at construction: a record is one bounds check
+ * and one add. A side vector keeps first-access order, which drives
+ * deterministic iteration and lets reset() zero only touched rows.
  */
 
 #ifndef STARNUMA_CORE_PAGE_STATS_HH
@@ -21,8 +21,6 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/arena.hh"
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -35,36 +33,37 @@ namespace core
 class PageAccessStats
 {
   public:
-    explicit PageAccessStats(int sockets);
+    /**
+     * @param sockets sockets counted per page.
+     * @param range pages the table covers.
+     */
+    PageAccessStats(int sockets, PageRange range);
 
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called while no access is
-     * recorded; every page recorded afterwards must fall in the
-     * range. Iteration order (first-access order) is unchanged.
+     * Count @p count accesses to page @p page by @p socket (panics
+     * when the page is outside the table or the socket unknown: a
+     * bad socket would land in a neighbouring page's row).
      */
-    void preallocate(PageNum base, std::size_t pages);
-
-    /** Count @p count accesses to page @p page by @p socket. */
     // lint: hot-path one count per replayed record batch (baseline)
     STARNUMA_AUDITED_SYMBOL void
     record(PageNum page, NodeId socket, std::uint32_t count = 1)
     {
-        std::uint32_t *block;
-        if (flat.empty()) {
-            block = sparseBlock(page);
-        } else {
-            std::uint32_t *&slot = flat[flatSlot(page)];
-            if (!slot) {
-                slot = newBlock();
-                noteFirstAccess(page);
-            }
-            block = slot;
+        sn_assert(socket >= 0 && socket < sockets_,
+                  "record from unknown socket %d", socket);
+        std::uint64_t slot = range_.slot(page);
+        sn_assert(slot < touched.size(),
+                  "page %llu outside the access-stats range",
+                  static_cast<unsigned long long>(page.value()));
+        if (!touched[slot]) {
+            touched[slot] = 1;
+            noteFirstAccess(page);
         }
-        block[socket] += count;
+        counts[slot * static_cast<std::uint64_t>(sockets_) +
+               static_cast<std::uint64_t>(socket)] += count;
     }
 
-    /** Total accesses to @p page across sockets. */
+    /** Total accesses to @p page across sockets (0 if untouched or
+     *  outside the table). */
     std::uint64_t totalAccesses(PageNum page) const;
 
     /** Number of distinct sockets that accessed @p page. */
@@ -74,11 +73,7 @@ class PageAccessStats
     NodeId majoritySocket(PageNum page) const;
 
     /** Pages with at least one access. */
-    std::size_t
-    touchedPages() const
-    {
-        return flat.empty() ? pageCounts.size() : order.size();
-    }
+    std::size_t touchedPages() const { return order.size(); }
 
     int sockets() const { return sockets_; }
 
@@ -90,65 +85,45 @@ class PageAccessStats
     void
     forEach(Fn &&fn) const
     {
-        if (flat.empty()) {
-            for (const auto &[page, counts] : pageCounts)
-                fn(page,
-                   static_cast<const std::uint32_t *>(counts));
-        } else {
-            for (PageNum page : order)
-                fn(page, static_cast<const std::uint32_t *>(
-                             flat[page.value() -
-                                  flatBase.value()]));
-        }
+        for (PageNum page : order)
+            fn(page, row(range_.slot(page)));
     }
 
-    /** Drop all counts; arena storage is reused for the next phase. */
+    /** Drop all counts (zeroes only the touched rows). */
     void reset();
 
   private:
-    /** A zeroed sockets_-wide counter block from the arena chain. */
-    std::uint32_t *newBlock();
-
-    /**
-     * Sparse-mode lookup-or-insert, out of line so the FlatMap's
-     * growth path (and its operator new call) stays out of the
-     * record() hot symbol.
-     */
-    STARNUMA_COLD_PATH std::uint32_t *sparseBlock(PageNum page);
-
     /**
      * Out-of-line first-access append: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * record() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. Capacity for the whole range is
+     * reserved at construction, so the push never reallocates.
      */
-    // lint: cold-path capacity reserved in preallocate()
+    // lint: cold-path capacity reserved in the constructor
     STARNUMA_COLD_PATH void
     noteFirstAccess(PageNum page)
     {
         order.push_back(page);
     }
 
-    /** Block of @p page in either mode (null if untouched). */
-    const std::uint32_t *findBlock(PageNum page) const;
-
-    /** Flat-mode slot of @p page (panics when out of range). */
-    std::size_t
-    flatSlot(PageNum page) const
+    /** Counter row of table slot @p slot (sockets_ entries). */
+    const std::uint32_t *
+    row(std::uint64_t slot) const
     {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
-        return static_cast<std::size_t>(slot);
+        return counts.data() +
+               slot * static_cast<std::uint64_t>(sockets_);
     }
 
+    /** Counter row of @p page (all zero if untouched), or null
+     *  outside the table. */
+    const std::uint32_t *findRow(PageNum page) const;
+
     int sockets_;
-    FlatMap<PageNum, std::uint32_t *> pageCounts;
-    std::vector<std::uint32_t *> flat; // flat mode: block per slot
-    std::vector<PageNum> order;        // flat mode: access order
-    PageNum flatBase{0};
-    std::vector<Arena> arenas;
+    PageRange range_;
+    std::vector<std::uint32_t> counts; // pages x sockets, row-major
+    std::vector<std::uint8_t> touched; // per page: row in use
+    std::vector<PageNum> order;        // first-access order
 };
 
 } // namespace core

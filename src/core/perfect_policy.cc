@@ -8,9 +8,9 @@ namespace core
 {
 
 PerfectPagePolicy::PerfectPagePolicy(
-    int sockets, std::uint32_t migration_limit_pages,
-    std::uint32_t min_accesses)
-    : stats(sockets), limit(migration_limit_pages),
+    int sockets, PageRange range,
+    std::uint32_t migration_limit_pages, std::uint32_t min_accesses)
+    : stats(sockets, range), limit(migration_limit_pages),
       minAccesses(min_accesses), migrated_(0)
 {
 }

@@ -35,23 +35,14 @@ class PerfectPagePolicy
 {
   public:
     /**
+     * @param range pages whose accesses are counted.
      * @param migration_limit_pages per-phase page budget (matches
      *        the StarNUMA configuration it is compared against).
      * @param min_accesses ignore pages colder than this.
      */
-    PerfectPagePolicy(int sockets,
+    PerfectPagePolicy(int sockets, PageRange range,
                       std::uint32_t migration_limit_pages,
                       std::uint32_t min_accesses = 4);
-
-    /**
-     * Switch the access-count table to flat storage over
-     * [base, base + pages) (see PageAccessStats::preallocate).
-     */
-    void
-    preallocate(PageNum base, std::size_t pages)
-    {
-        stats.preallocate(base, pages);
-    }
 
     /** Zero-cost access knowledge feed (@p count accesses). */
     // lint: hot-path one count per replayed record batch (baseline)

@@ -17,8 +17,9 @@ TrackerEntry::sharerCount() const
     return std::popcount(sharerMask);
 }
 
+// lint: cold-path one-time setup before the replay loop
 RegionTracker::RegionTracker(int counter_bits, int n_sockets,
-                             Addr region_bytes)
+                             Addr region_bytes, PageRange pages)
     : counterBits_(counter_bits), sockets(n_sockets),
       regionBytes_(region_bytes)
 {
@@ -32,6 +33,13 @@ RegionTracker::RegionTracker(int counter_bits, int n_sockets,
         counter_bits == 0
             ? 0
             : static_cast<std::uint32_t>((1ULL << counter_bits) - 1);
+    if (pages.pages == 0)
+        return;
+    regionBase = regionOf(pageBase(pages.base));
+    RegionId last =
+        regionOf(pageBase(pages.base + PageNum(pages.pages - 1)));
+    entries.assign(last - regionBase + 1, TrackerEntry{});
+    touchedOrder.reserve(entries.size());
 }
 
 int
@@ -40,28 +48,11 @@ RegionTracker::pagesPerRegion() const
     return starnuma::pagesPerRegion(regionBytes_);
 }
 
-// lint: cold-path one-time setup before the replay loop
-void
-RegionTracker::preallocate(RegionId base, std::size_t regions)
-{
-    sn_assert(entries.empty() && flat.empty(),
-              "preallocate before recording any access");
-    if (regions == 0)
-        return;
-    flatBase = base;
-    flat.assign(regions, TrackerEntry{});
-    touchedOrder.reserve(regions);
-}
-
 const TrackerEntry &
 RegionTracker::entry(RegionId region) const
 {
-    if (flat.empty()) {
-        auto it = entries.find(region);
-        return it == entries.end() ? zeroEntry : it->second;
-    }
-    std::uint64_t slot = region - flatBase;
-    return slot < flat.size() ? flat[slot] : zeroEntry;
+    std::uint64_t slot = region - regionBase;
+    return slot < entries.size() ? entries[slot] : zeroEntry;
 }
 
 std::uint64_t

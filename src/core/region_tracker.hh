@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -46,8 +45,10 @@ class RegionTracker
      * @param sockets sockets whose presence bits are tracked.
      * @param region_bytes region size (paper default 512 KB;
      *        scaled-down runs use 64 KB).
+     * @param pages pages whose regions the table covers.
      */
-    RegionTracker(int counter_bits, int n_sockets, Addr region_bytes);
+    RegionTracker(int counter_bits, int n_sockets, Addr region_bytes,
+                  PageRange pages);
 
     int counterBits() const { return counterBits_; }
     Addr regionBytes() const { return regionBytes_; }
@@ -68,18 +69,10 @@ class RegionTracker
     }
 
     /**
-     * Switch to flat-table storage over regions
-     * [base, base + regions). Must be called while no region is
-     * touched; every region recorded afterwards must fall in the
-     * range. Iteration order (first-touch order) is unchanged.
-     */
-    void preallocate(RegionId base, std::size_t regions);
-
-    /**
      * Fold @p count accesses by @p socket into the region holding
      * @p addr (the PTW adding a TLB annex value, §III-D1). The
      * counter saturates at 2^i - 1; with T_0 only the presence bit
-     * is recorded.
+     * is recorded. Panics when the region is outside the table.
      */
     // lint: hot-path (called once per TLB annex flush)
     STARNUMA_AUDITED_SYMBOL void
@@ -88,19 +81,15 @@ class RegionTracker
         sn_assert(socket >= 0 && socket < sockets,
                   "record from unknown socket %d", socket);
         RegionId region = regionOf(addr);
-        TrackerEntry *e;
-        if (flat.empty()) {
-            e = &sparseEntry(region);
-        } else {
-            std::uint64_t slot = region - flatBase;
-            sn_assert(slot < flat.size(),
-                      "region outside the preallocated range");
-            e = &flat[slot];
-            // Every record sets a presence bit, so an untouched
-            // entry is exactly one with an empty sharer mask.
-            if (e->sharerMask == 0)
-                noteFirstTouch(region);
-        }
+        std::uint64_t slot = region - regionBase;
+        sn_assert(slot < entries.size(),
+                  "region %llu outside the tracker's range",
+                  static_cast<unsigned long long>(region));
+        TrackerEntry *e = &entries[slot];
+        // Every record sets a presence bit, so an untouched entry is
+        // exactly one with an empty sharer mask.
+        if (e->sharerMask == 0)
+            noteFirstTouch(region);
         e->sharerMask |= 1ULL << socket;
         if (counterBits_ > 0) {
             std::uint64_t next =
@@ -111,15 +100,12 @@ class RegionTracker
         }
     }
 
-    /** Entry for @p region (zero entry if never touched). */
+    /** Entry for @p region (zero entry if never touched or outside
+     *  the table). */
     const TrackerEntry &entry(RegionId region) const;
 
     /** Regions with at least one recorded access this phase. */
-    std::size_t
-    touchedRegions() const
-    {
-        return flat.empty() ? entries.size() : touchedOrder.size();
-    }
+    std::size_t touchedRegions() const { return touchedOrder.size(); }
 
     /**
      * Size in bytes of the metadata region for @p total_memory
@@ -139,24 +125,17 @@ class RegionTracker
     void
     scanAndReset(Fn &&fn)
     {
-        if (flat.empty()) {
-            for (auto &[region, e] : entries)
-                fn(region, e);
-            entries.clear();
-        } else {
-            for (RegionId region : touchedOrder)
-                fn(region, flat[region - flatBase]);
-            reset();
-        }
+        for (RegionId region : touchedOrder)
+            fn(region, entries[region - regionBase]);
+        reset();
     }
 
     /** Clear without scanning. */
     void
     reset()
     {
-        entries.clear();
         for (RegionId region : touchedOrder)
-            flat[region - flatBase] = TrackerEntry{};
+            entries[region - regionBase] = TrackerEntry{};
         touchedOrder.clear();
     }
 
@@ -165,37 +144,23 @@ class RegionTracker
      * Out-of-line first-touch append: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * record() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. Capacity for every region is
+     * reserved at construction, so the push never reallocates.
      */
-    // lint: cold-path capacity reserved in preallocate()
+    // lint: cold-path capacity reserved in the constructor
     STARNUMA_COLD_PATH void
     noteFirstTouch(RegionId region)
     {
         touchedOrder.push_back(region);
     }
 
-    /**
-     * Out-of-line sparse-mode lookup-or-insert, for the same reason
-     * as noteFirstTouch(): the FlatMap's growth path (and its
-     * operator new call) stays out of the record() hot symbol.
-     */
-    // lint: cold-path sparse FlatMap mode; replay preallocates the
-    // flat table for dense captured traces
-    STARNUMA_COLD_PATH TrackerEntry &
-    sparseEntry(RegionId region)
-    {
-        return entries[region];
-    }
-
     int counterBits_;
     int sockets;
     Addr regionBytes_;
     std::uint32_t counterMax;
-    FlatMap<RegionId, TrackerEntry> entries;
-    std::vector<TrackerEntry> flat; // flat mode: entry per slot
-    std::vector<RegionId> touchedOrder;
-    RegionId flatBase = 0;
+    RegionId regionBase = 0;
+    std::vector<TrackerEntry> entries; // entry per region slot
+    std::vector<RegionId> touchedOrder; // first-touch order
     static const TrackerEntry zeroEntry;
 };
 

@@ -19,34 +19,20 @@ TlbHolderMask::count() const
     return n;
 }
 
-TlbDirectory::TlbDirectory(int n_cores) : cores(n_cores)
+// lint: cold-path one-time setup before the replay loop
+TlbDirectory::TlbDirectory(int n_cores, PageRange range)
+    : cores(n_cores), range_(range), masks(range.pages)
 {
     sn_assert(cores > 0 && cores <= 256,
               "TLB directory bit-set supports up to 256 cores");
-}
-
-// lint: cold-path one-time setup before the replay loop
-void
-TlbDirectory::preallocate(PageNum base, std::size_t pages)
-{
-    sn_assert(map.empty() && flat.empty(),
-              "preallocate before tracking any translation");
-    if (pages == 0)
-        return;
-    flatBase = base;
-    flat.assign(pages, TlbHolderMask{});
 }
 
 // lint: hot-path queried per migrated page during shootdowns
 TlbHolderMask
 TlbDirectory::holders(PageNum page) const
 {
-    if (flat.empty()) {
-        auto it = map.find(page);
-        return it == map.end() ? TlbHolderMask{} : it->second;
-    }
-    std::uint64_t slot = page.value() - flatBase.value();
-    return slot < flat.size() ? flat[slot] : TlbHolderMask{};
+    std::uint64_t slot = range_.slot(page);
+    return slot < masks.size() ? masks[slot] : TlbHolderMask{};
 }
 
 int
@@ -60,11 +46,9 @@ int
 TlbDirectory::shootdown(PageNum page)
 {
     int targeted = holderCount(page);
-    if (flat.empty()) {
-        map.erase(page);
-    } else if (targeted > 0) {
-        flat[flatSlot(page)] = TlbHolderMask{};
-        --flatTracked;
+    if (targeted > 0) {
+        masks[slotOf(page)] = TlbHolderMask{};
+        --tracked;
     }
     sent_ += targeted;
     saved_ += cores - targeted;

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/flat_map.hh"
+#include "sim/annotations.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -62,55 +62,43 @@ struct TlbHolderMask
 class TlbDirectory
 {
   public:
-    explicit TlbDirectory(int cores);
+    /**
+     * @param cores cores whose TLBs are tracked.
+     * @param range pages whose translations the table covers.
+     */
+    TlbDirectory(int cores, PageRange range);
 
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called while no translation is
-     * tracked; every page filled afterwards must fall in the range.
+     * Core @p core filled a TLB entry for page number @p page
+     * (panics when the page is outside the table).
      */
-    void preallocate(PageNum base, std::size_t pages);
-
-    /** Core @p core filled a TLB entry for page number @p page. */
     // lint: hot-path one fill per TLB miss
     void
     fill(PageNum page, int core)
     {
         sn_assert(core >= 0 && core < cores,
                   "fill by unknown core %d", core);
-        if (flat.empty()) {
-            map[page].set(core);
-        } else {
-            TlbHolderMask &m = flat[flatSlot(page)];
-            if (!m.any())
-                ++flatTracked;
-            m.set(core);
-        }
+        TlbHolderMask &m = masks[slotOf(page)];
+        if (!m.any())
+            ++tracked;
+        m.set(core);
     }
 
     /** Core @p core evicted its TLB entry for @p page. */
     // lint: hot-path one eviction per TLB replacement
-    void
+    STARNUMA_AUDITED_SYMBOL void
     evict(PageNum page, int core)
     {
-        if (flat.empty()) {
-            auto it = map.find(page);
-            if (it == map.end())
-                return;
-            it->second.clear(core);
-            if (!it->second.any())
-                map.erase(it);
-        } else {
-            TlbHolderMask &m = flat[flatSlot(page)];
-            if (!m.any())
-                return;
-            m.clear(core);
-            if (!m.any())
-                --flatTracked;
-        }
+        TlbHolderMask &m = masks[slotOf(page)];
+        if (!m.any())
+            return;
+        m.clear(core);
+        if (!m.any())
+            --tracked;
     }
 
-    /** Holder set of cores currently caching @p page. */
+    /** Holder set of cores currently caching @p page (empty when
+     *  the page is outside the table). */
     TlbHolderMask holders(PageNum page) const;
 
     /** Number of cores currently caching @p page. */
@@ -125,11 +113,7 @@ class TlbDirectory
     int shootdown(PageNum page);
 
     /** Pages with at least one holder. */
-    std::size_t
-    trackedPages() const
-    {
-        return flat.empty() ? map.size() : flatTracked;
-    }
+    std::size_t trackedPages() const { return tracked; }
 
     // Cumulative statistics.
     std::uint64_t shootdownsSent() const { return sent_; }
@@ -146,21 +130,21 @@ class TlbDirectory
                        const std::string &prefix) const;
 
   private:
-    /** Flat-mode slot of @p page (panics when out of range). */
+    /** Table slot of @p page (panics when out of range). */
     std::size_t
-    flatSlot(PageNum page) const
+    slotOf(PageNum page) const
     {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
+        std::uint64_t slot = range_.slot(page);
+        sn_assert(slot < masks.size(),
+                  "page %llu outside the TLB directory's range",
+                  static_cast<unsigned long long>(page.value()));
         return static_cast<std::size_t>(slot);
     }
 
     int cores;
-    FlatMap<PageNum, TlbHolderMask> map;
-    std::vector<TlbHolderMask> flat; // flat mode: mask per slot
-    PageNum flatBase{0};
-    std::size_t flatTracked = 0;
+    PageRange range_;
+    std::vector<TlbHolderMask> masks; // holder set per page slot
+    std::size_t tracked = 0;          // pages with a holder
     std::uint64_t sent_ = 0;
     std::uint64_t saved_ = 0;
 };

@@ -15,6 +15,7 @@
 #include "mem/dram.hh"
 #include "mem/page_map.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/obs/obs.hh"
 #include "sim/obs/timeseries.hh"
@@ -63,9 +64,9 @@ phasePrefix(int phase)
 struct MachineState
 {
     MachineState(const SystemSetup &setup, const SimScale &scale,
-                 const CoreModel &core)
+                 const CoreModel &core, PageRange span)
         : topo(setup.sys), directory(setup.sys.sockets),
-          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0))
+          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0), span)
     {
         mem::CacheConfig llc_cfg{
             static_cast<Addr>(scale.coresPerSocket) *
@@ -87,7 +88,8 @@ struct MachineState
         topo.resetContention();
         for (auto &mc : mcs)
             mc.resetContention();
-        // Rebuilds a map (FlatMap iterates in insertion order).
+        // Overlay this phase's checkpointed placement on the page
+        // table (sized to the trace's page span, like step B's).
         for (const auto &[page, home] : checkpoint.pageHome)
             pages.setHome(page, home);
         migrating.clear();
@@ -1010,6 +1012,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     Cycles total_horizon;
     std::unique_ptr<MachineState> shared_machine;
     std::unique_ptr<MachineState> last_machine;
+    const PageRange page_span = trace::pageSpan(trace);
 
     if (options.independentPhases) {
         // §IV-A3 literally: N independent timing simulations, one
@@ -1021,7 +1024,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         std::vector<std::unique_ptr<PhaseSim>> sims;
         for (int phase = 0; phase < scale.phases; ++phase) {
             machines.push_back(std::make_unique<MachineState>(
-                setup, scale, core));
+                setup, scale, core, page_span));
             machines.back()->replicated =
                 placement.replication.replicated;
             sims.push_back(std::make_unique<PhaseSim>(
@@ -1059,7 +1062,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         last_machine = std::move(machines.back());
     } else {
         shared_machine = std::make_unique<MachineState>(
-            setup, scale, core);
+            setup, scale, core, page_span);
         shared_machine->replicated =
             placement.replication.replicated;
         const bool collect = obs::StatsSink::global().enabled();

@@ -79,45 +79,6 @@ snapshot(const mem::PageMap &pm)
 }
 
 /**
- * Page span [lo, hi] over every page the replay will touch (records
- * and first touches). Captured traces bump-allocate their address
- * space, so the span is dense and the hot-path tables can switch to
- * flat array storage over it. Capture and the columnar decoder
- * stamp the span on the trace; hand-built traces leave it unknown
- * and pay one linear scan here.
- * @return false for an empty trace.
- */
-bool
-pageSpan(const trace::WorkloadTrace &trace, PageNum &lo,
-         PageNum &hi)
-{
-    if (trace.maxPage.value() != 0 ||
-        trace.minPage.value() != 0) {
-        lo = trace.minPage;
-        hi = trace.maxPage;
-        return true;
-    }
-    std::uint64_t min = ~std::uint64_t(0);
-    std::uint64_t max = 0;
-    for (const auto &ft : trace.firstTouches) {
-        min = std::min(min, ft.page.value());
-        max = std::max(max, ft.page.value());
-    }
-    for (const auto &recs : trace.perThread) {
-        for (const auto &r : recs) {
-            std::uint64_t p = pageNumber(r.vaddr()).value();
-            min = std::min(min, p);
-            max = std::max(max, p);
-        }
-    }
-    if (min > max)
-        return false;
-    lo = PageNum(min);
-    hi = PageNum(max);
-    return true;
-}
-
-/**
  * Stream handles and delta state of the replay's per-phase
  * telemetry (DESIGN.md §14). An aggregate with no user constructor
  * so declaring one stays off the hot path; all real work happens in
@@ -394,21 +355,10 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
                    setup.sys.poolCapacityFraction)
              : 0;
 
-    // Captured traces cover one dense page range; give every
-    // page/region table flat array storage over it (identical
-    // behavior, array indexing instead of hashing on the hot path).
-    // Sparse hand-built traces keep the FlatMap storage.
-    PageNum spanLo{0}, spanHi{0};
-    std::uint64_t spanPages = 0;
-    if (pageSpan(trace, spanLo, spanHi)) {
-        std::uint64_t span = spanHi.value() - spanLo.value() + 1;
-        if (span <= result.footprintPages + 1024)
-            spanPages = span;
-    }
-
-    mem::PageMap pm(nodes);
-    if (spanPages > 0)
-        pm.preallocate(spanLo, spanPages);
+    // Every page and region table is a flat array over the trace's
+    // page span.
+    const PageRange span = trace::pageSpan(trace);
+    mem::PageMap pm(nodes, span);
     for (const auto &ft : trace.firstTouches)
         pm.touch(ft.page, socketOf(ft.thread));
 
@@ -430,12 +380,7 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
     // annexes, Algorithm 1 engine.
     core::RegionTracker tracker(mig_cfg.counterBits,
                                 setup.sys.sockets,
-                                setup.regionBytes);
-    if (spanPages > 0) {
-        core::RegionId first = tracker.regionOf(pageBase(spanLo));
-        core::RegionId last = tracker.regionOf(pageBase(spanHi));
-        tracker.preallocate(first, last - first + 1);
-    }
+                                setup.regionBytes, span);
     std::vector<core::TlbAnnex> tlbs;
     // Per-task RNG stream: the engine's tie-break generator is
     // seeded from the task identity (workload, config), never shared
@@ -445,9 +390,8 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
                                  setup.regionBytes,
                                  taskSeed({trace.workload,
                                            setup.name}));
-    core::TlbDirectory tlb_dir(trace.threads);
-    if (star && spanPages > 0)
-        tlb_dir.preallocate(spanLo, spanPages);
+    core::TlbDirectory tlb_dir(trace.threads,
+                               star ? span : PageRange{});
     if (star) {
         // lint: cold-path per-run TLB construction, before replay
         tlbs.reserve(trace.threads);
@@ -462,9 +406,8 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
     // Baseline machinery: zero-cost perfect page knowledge, same
     // migration budget as StarNUMA gets.
     core::PerfectPagePolicy perfect(setup.sys.sockets,
+                                    star ? PageRange{} : span,
                                     mig_cfg.migrationLimitPages);
-    if (!star && spanPages > 0)
-        perfect.preallocate(spanLo, spanPages);
 
     std::vector<std::size_t> cursor(trace.threads, 0);
     std::vector<core::RegionMigration> pending_regions;
@@ -601,18 +544,10 @@ TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
                    setup.sys.poolCapacityFraction)
              : 0;
 
-    PageNum spanLo{0}, spanHi{0};
-    std::uint64_t spanPages = 0;
-    if (pageSpan(trace, spanLo, spanHi)) {
-        std::uint64_t span = spanHi.value() - spanLo.value() + 1;
-        if (span <= result.footprintPages + 1024)
-            spanPages = span;
-    }
+    const PageRange span = trace::pageSpan(trace);
 
     // A priori knowledge: feed the whole run into the oracle.
-    core::OraclePlacement oracle(setup.sys.sockets);
-    if (spanPages > 0)
-        oracle.preallocate(spanLo, spanPages);
+    core::OraclePlacement oracle(setup.sys.sockets, span);
     for (ThreadId t = 0; t < trace.threads; ++t) {
         const auto &recs = trace.perThread[t];
         NodeId socket = socketOf(t);
@@ -628,9 +563,7 @@ TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
         }
     }
 
-    mem::PageMap pm(nodes);
-    if (spanPages > 0)
-        pm.preallocate(spanLo, spanPages);
+    mem::PageMap pm(nodes, span);
     // Pages only touched during setup fall back to first touch.
     for (const auto &ft : trace.firstTouches)
         pm.touch(ft.page, socketOf(ft.thread));

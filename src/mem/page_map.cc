@@ -7,36 +7,13 @@ namespace starnuma
 namespace mem
 {
 
-PageMap::PageMap(int nodes) : counts(nodes, 0), firstTouch(0)
+// lint: cold-path one-time setup before the replay loop
+PageMap::PageMap(int nodes, PageRange range)
+    : range_(range), homes(range.pages, invalidNode),
+      counts(nodes, 0), firstTouch(0)
 {
     sn_assert(nodes > 0, "page map needs at least one node");
-}
-
-// lint: cold-path one-time setup before the replay loop
-void
-PageMap::preallocate(PageNum base, std::uint64_t pages)
-{
-    sn_assert(map.empty() && flat.empty(),
-              "preallocate before mapping any page");
-    if (pages == 0)
-        return;
-    flatBase = base;
-    flat.assign(pages, invalidNode);
-    order.reserve(pages);
-}
-
-NodeId
-PageMap::touchMapped(PageNum page, NodeId toucher)
-{
-    auto [it, inserted] = map.try_emplace(page, toucher);
-    if (inserted) {
-        sn_assert(toucher >= 0 &&
-                      static_cast<std::size_t>(toucher) < counts.size(),
-                  "first-touch by unknown node %d", toucher);
-        ++counts[toucher];
-        ++firstTouch;
-    }
-    return it->second;
+    order.reserve(range.pages);
 }
 
 void
@@ -45,22 +22,12 @@ PageMap::setHome(PageNum page, NodeId node)
     sn_assert(node >= 0 &&
                   static_cast<std::size_t>(node) < counts.size(),
               "migrating page to unknown node %d", node);
-    if (flat.empty()) {
-        auto it = map.find(page);
-        if (it == map.end()) {
-            map.emplace(page, node);
-        } else {
-            --counts[it->second];
-            it->second = node;
-        }
-    } else {
-        NodeId &h = flat[flatSlot(page)];
-        if (h == invalidNode)
-            order.push_back(page);
-        else
-            --counts[h];
-        h = node;
-    }
+    NodeId &h = homes[slotOf(page)];
+    if (h == invalidNode)
+        order.push_back(page);
+    else
+        --counts[h];
+    h = node;
     ++counts[node];
 }
 

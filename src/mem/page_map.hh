@@ -5,13 +5,13 @@
  * The map also tracks per-node page counts so capacity policies
  * (pool limit, victim selection) can query occupancy cheaply.
  *
- * Two storage modes share one interface. By default pages live in a
- * FlatMap (any key pattern). Traces captured against the simulator's
- * bump allocator cover one contiguous page range, so replay can call
- * preallocate() to switch to a flat page table — a plain array
- * indexed by (page - base) — which turns every hot-path touch() into
- * a bounds-checked load. Observable behavior, including the
- * insertion-order forEach(), is identical in both modes.
+ * Storage is a flat page table over the page range given at
+ * construction — a plain array indexed by (page - base), since
+ * traces captured against the simulator's bump allocator cover one
+ * contiguous range (trace::pageSpan). A side vector keeps
+ * first-mapping order so forEach() iterates deterministically.
+ * Mapping a page outside the range panics; looking one up reads as
+ * unmapped.
  */
 
 #ifndef STARNUMA_MEM_PAGE_MAP_HH
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -37,27 +36,19 @@ constexpr NodeId invalidNode = -1;
 class PageMap
 {
   public:
-    /** @param nodes addressable home nodes (sockets + pool). */
-    explicit PageMap(int nodes);
-
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called before the first page is
-     * mapped; every page touched afterwards must fall in the range.
+     * @param nodes addressable home nodes (sockets + pool).
+     * @param range pages the map can hold.
      */
-    void preallocate(PageNum base, std::uint64_t pages);
+    PageMap(int nodes, PageRange range);
 
     /** Home of page @p page, or invalidNode if unmapped. */
     // lint: hot-path one lookup per modeled access
     NodeId
     home(PageNum page) const
     {
-        if (flat.empty()) {
-            auto it = map.find(page);
-            return it == map.end() ? invalidNode : it->second;
-        }
-        std::uint64_t slot = page.value() - flatBase.value();
-        return slot < flat.size() ? flat[slot] : invalidNode;
+        std::uint64_t slot = range_.slot(page);
+        return slot < homes.size() ? homes[slot] : invalidNode;
     }
 
     /**
@@ -69,9 +60,7 @@ class PageMap
     NodeId
     touch(PageNum page, NodeId toucher)
     {
-        if (flat.empty())
-            return touchMapped(page, toucher);
-        NodeId &h = flat[flatSlot(page)];
+        NodeId &h = homes[slotOf(page)];
         if (h == invalidNode) {
             sn_assert(toucher >= 0 && static_cast<std::size_t>(
                                           toucher) < counts.size(),
@@ -91,11 +80,7 @@ class PageMap
     std::uint64_t pagesAt(NodeId node) const;
 
     /** Total mapped pages. */
-    std::uint64_t
-    totalPages() const
-    {
-        return flat.empty() ? map.size() : order.size();
-    }
+    std::uint64_t totalPages() const { return order.size(); }
 
     /** Pages whose initial placement came from first touch. */
     std::uint64_t firstTouchPages() const { return firstTouch; }
@@ -105,46 +90,39 @@ class PageMap
     void
     forEach(Fn &&fn) const
     {
-        if (flat.empty()) {
-            for (const auto &[page, node] : map)
-                fn(page, node);
-        } else {
-            for (PageNum page : order)
-                fn(page, flat[page.value() - flatBase.value()]);
-        }
+        for (PageNum page : order)
+            fn(page, homes[range_.slot(page)]);
     }
 
   private:
-    NodeId touchMapped(PageNum page, NodeId toucher);
-
     /**
      * Out-of-line first-touch append: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * touch() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. Capacity for the whole range is
+     * reserved at construction, so the push never reallocates.
      */
-    // lint: cold-path capacity reserved in preallocate()
+    // lint: cold-path capacity reserved in the constructor
     STARNUMA_COLD_PATH void
     noteFirstTouch(PageNum page)
     {
         order.push_back(page);
     }
 
-    /** Flat-mode slot of @p page (panics when out of range). */
+    /** Table slot of @p page (panics when out of range). */
     std::uint64_t
-    flatSlot(PageNum page) const
+    slotOf(PageNum page) const
     {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
+        std::uint64_t slot = range_.slot(page);
+        sn_assert(slot < homes.size(),
+                  "page %llu outside the page map's range",
+                  static_cast<unsigned long long>(page.value()));
         return slot;
     }
 
-    FlatMap<PageNum, NodeId> map;
-    std::vector<NodeId> flat;    // flat mode: home per slot
-    std::vector<PageNum> order;  // flat mode: insertion order
-    PageNum flatBase{0};
+    PageRange range_;
+    std::vector<NodeId> homes;  // home per slot, invalidNode if unmapped
+    std::vector<PageNum> order; // first-mapping order
     std::vector<std::uint64_t> counts;
     std::uint64_t firstTouch;
 };

@@ -137,6 +137,26 @@ pagesCovering(Addr bytes)
     return (bytes + pageBytes - 1) / pageBytes;
 }
 
+/**
+ * Contiguous page range [base, base + pages): the key space of the
+ * dense page- and region-keyed tables (DESIGN.md §12).
+ */
+struct PageRange
+{
+    PageNum base;
+    std::uint64_t pages = 0;
+
+    /**
+     * Offset of @p page from base. Pages below base wrap to huge
+     * offsets, so `slot(p) < pages` is the whole membership test.
+     */
+    constexpr std::uint64_t
+    slot(PageNum page) const
+    {
+        return page.value() - base.value();
+    }
+};
+
 /** Pages per migration region for a page-aligned region size. */
 constexpr int
 pagesPerRegion(Addr region_bytes)

@@ -67,9 +67,9 @@ struct WorkloadTrace
     /**
      * Inclusive page span covering every record and first touch.
      * The capture bump allocator hands out one contiguous address
-     * range, so replay can preallocate flat page tables over it.
-     * Both zero means unknown (hand-built traces); replay then
-     * derives the span with a linear scan.
+     * range, and capture and the columnar decoder stamp it here.
+     * Both zero means unknown (hand-built traces); pageSpan() then
+     * derives it with a linear scan.
      */
     PageNum minPage{0};
     PageNum maxPage{0};
@@ -87,6 +87,25 @@ struct WorkloadTrace
     /** Records per kilo-instruction (the filter's output rate). */
     double recordsPerKiloInstruction() const;
 };
+
+/**
+ * Widest page span a trace may have: the dense page- and
+ * region-keyed replay tables are sized from it. The largest
+ * footprint any SimScale preset captures is 23,447 pages (tpcc), so
+ * 2^20 pages (4 GiB of address space) is over 40x headroom while
+ * capping the tables at tens of MB (a 16-socket PageAccessStats is
+ * 64 MB at the cap). A wider span comes from a hand-built or
+ * decoded trace with outlying pages, never from a capture, and
+ * would otherwise become a multi-terabyte allocation.
+ */
+constexpr std::uint64_t maxSpanPages = 1ULL << 20;
+
+/**
+ * The page range every record and first touch of @p trace falls in:
+ * the key space of the replay's page tables. An empty trace gives an
+ * empty range. Panics when the span exceeds maxSpanPages.
+ */
+PageRange pageSpan(const WorkloadTrace &trace);
 
 } // namespace trace
 } // namespace starnuma

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/migration.hh"
 #include "core/oracle.hh"
 #include "core/page_stats.hh"
@@ -26,11 +28,14 @@ namespace
 
 constexpr Addr kRegion = 64 * 1024; // scaled-down region size
 
+/** Pages every table in these tests covers: regions 0..63. */
+constexpr PageRange kSpan{PageNum(0), 64 * (kRegion / pageBytes)};
+
 // --- RegionTracker ---
 
 TEST(RegionTracker, RecordsSharersAndCounts)
 {
-    RegionTracker t(16, 16, kRegion);
+    RegionTracker t(16, 16, kRegion, kSpan);
     t.record(0x1000, 3, 5);
     t.record(0x2000, 7, 2); // same 64 KB region
     const auto &e = t.entry(0);
@@ -42,7 +47,7 @@ TEST(RegionTracker, RecordsSharersAndCounts)
 
 TEST(RegionTracker, SeparateRegionsSeparateEntries)
 {
-    RegionTracker t(16, 16, kRegion);
+    RegionTracker t(16, 16, kRegion, kSpan);
     t.record(0, 0);
     t.record(kRegion, 1);
     EXPECT_EQ(t.touchedRegions(), 2u);
@@ -52,14 +57,14 @@ TEST(RegionTracker, SeparateRegionsSeparateEntries)
 
 TEST(RegionTracker, CounterSaturates)
 {
-    RegionTracker t(4, 16, kRegion); // T4: max 15
+    RegionTracker t(4, 16, kRegion, kSpan); // T4: max 15
     t.record(0, 0, 100);
     EXPECT_EQ(t.entry(0).accesses, 15u);
 }
 
 TEST(RegionTracker, T0TracksOnlyPresence)
 {
-    RegionTracker t(0, 16, kRegion);
+    RegionTracker t(0, 16, kRegion, kSpan);
     t.record(0, 5, 1000);
     EXPECT_EQ(t.entry(0).accesses, 0u);
     EXPECT_EQ(t.entry(0).sharerCount(), 1);
@@ -69,7 +74,7 @@ TEST(RegionTracker, PaperMetadataRegionSize)
 {
     // §III-D4: 16 TB of memory, 512 KB regions, T16, 16 sockets
     // -> 32M entries x 4 B = 128 MB metadata region.
-    RegionTracker t(16, 16, 512 * 1024);
+    RegionTracker t(16, 16, 512 * 1024, PageRange{});
     EXPECT_EQ(t.entryBytes(), 4u);
     EXPECT_EQ(t.metadataBytes(16ULL << 40), 128ULL << 20);
     EXPECT_EQ(t.pagesPerRegion(), 128);
@@ -77,7 +82,7 @@ TEST(RegionTracker, PaperMetadataRegionSize)
 
 TEST(RegionTracker, ScanAndResetClears)
 {
-    RegionTracker t(16, 16, kRegion);
+    RegionTracker t(16, 16, kRegion, kSpan);
     t.record(0, 0);
     t.record(kRegion, 1);
     int seen = 0;
@@ -89,7 +94,7 @@ TEST(RegionTracker, ScanAndResetClears)
 
 TEST(RegionTracker, RegionOfAndFirstPage)
 {
-    RegionTracker t(16, 16, kRegion);
+    RegionTracker t(16, 16, kRegion, kSpan);
     EXPECT_EQ(t.regionOf(kRegion - 1), 0u);
     EXPECT_EQ(t.regionOf(kRegion), 1u);
     EXPECT_EQ(t.firstPage(2), PageNum(2 * kRegion / pageBytes));
@@ -99,7 +104,7 @@ TEST(RegionTracker, RegionOfAndFirstPage)
 
 TEST(TlbAnnex, EvictionFlushesCounterToTracker)
 {
-    RegionTracker tracker(16, 16, kRegion);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
     TlbAnnex tlb({4, 1}, tracker, 2); // 4 sets, direct mapped
 
     // Hammer one page, then push it out with conflicting pages.
@@ -113,7 +118,7 @@ TEST(TlbAnnex, EvictionFlushesCounterToTracker)
 
 TEST(TlbAnnex, FlushAllDrainsResidentCounters)
 {
-    RegionTracker tracker(16, 16, kRegion);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
     TlbAnnex tlb({64, 4}, tracker, 0);
     for (int i = 0; i < 7; ++i)
         tlb.recordAccess(0x0);
@@ -123,7 +128,7 @@ TEST(TlbAnnex, FlushAllDrainsResidentCounters)
 
 TEST(TlbAnnex, MarkerCapturesHotResidentPages)
 {
-    RegionTracker tracker(16, 16, kRegion);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
     TlbAnnex tlb({64, 4}, tracker, 0);
     for (int i = 0; i < 5; ++i)
         tlb.recordAccess(0x40);
@@ -135,7 +140,7 @@ TEST(TlbAnnex, MarkerCapturesHotResidentPages)
 
 TEST(TlbAnnex, ShootdownInvalidatesAndFlushes)
 {
-    RegionTracker tracker(16, 16, kRegion);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
     TlbAnnex tlb({64, 4}, tracker, 0);
     tlb.recordAccess(0x1000);
     tlb.recordAccess(0x1008);
@@ -150,7 +155,7 @@ TEST(TlbAnnex, ShootdownInvalidatesAndFlushes)
 
 TEST(TlbAnnex, T0RecordsPresenceWithoutCounting)
 {
-    RegionTracker tracker(0, 16, kRegion);
+    RegionTracker tracker(0, 16, kRegion, kSpan);
     TlbAnnex tlb({64, 4}, tracker, 9);
     tlb.recordAccess(0x0);
     EXPECT_TRUE(tracker.entry(0).sharerMask & (1ULL << 9));
@@ -159,7 +164,7 @@ TEST(TlbAnnex, T0RecordsPresenceWithoutCounting)
 
 TEST(TlbAnnex, HitsAndMissesCounted)
 {
-    RegionTracker tracker(16, 16, kRegion);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
     TlbAnnex tlb({64, 4}, tracker, 0);
     tlb.recordAccess(0x0);
     tlb.recordAccess(0x10);
@@ -174,7 +179,7 @@ class MigrationTest : public ::testing::Test
 {
   protected:
     MigrationTest()
-        : tracker(16, 16, kRegion), pages(17),
+        : tracker(16, 16, kRegion, kSpan), pages(17, kSpan),
           engine(MigrationConfig{}, 16, true, kRegion, 42)
     {
     }
@@ -316,7 +321,7 @@ TEST_F(MigrationTest, T0UsesAllSocketsCriterion)
     MigrationConfig cfg;
     cfg.counterBits = 0;
     MigrationEngine t0(cfg, 16, true, kRegion, 3);
-    RegionTracker tracker0(0, 16, kRegion);
+    RegionTracker tracker0(0, 16, kRegion, kSpan);
 
     mapRegion(0, 2);
     mapRegion(1, 2);
@@ -398,9 +403,9 @@ TEST_F(MigrationTest, HiThresholdAdaptsDownWhenQuiet)
 
 TEST(PerfectPolicy, MovesPageToMajoritySocket)
 {
-    mem::PageMap pages(17);
+    mem::PageMap pages(17, kSpan);
     pages.setHome(PageNum(10), 0);
-    PerfectPagePolicy policy(16, 1000);
+    PerfectPagePolicy policy(16, kSpan, 1000);
     for (int i = 0; i < 8; ++i)
         policy.recordAccess(PageNum(10), 5);
     policy.recordAccess(PageNum(10), 0);
@@ -412,10 +417,10 @@ TEST(PerfectPolicy, MovesPageToMajoritySocket)
 
 TEST(PerfectPolicy, RespectsLimitHottestFirst)
 {
-    mem::PageMap pages(17);
+    mem::PageMap pages(17, kSpan);
     pages.setHome(PageNum(1), 0);
     pages.setHome(PageNum(2), 0);
-    PerfectPagePolicy policy(16, 1);
+    PerfectPagePolicy policy(16, kSpan, 1);
     for (int i = 0; i < 100; ++i)
         policy.recordAccess(PageNum(1), 3);
     for (int i = 0; i < 10; ++i)
@@ -428,10 +433,10 @@ TEST(PerfectPolicy, RespectsLimitHottestFirst)
 
 TEST(PerfectPolicy, IgnoresColdAndWellPlacedPages)
 {
-    mem::PageMap pages(17);
+    mem::PageMap pages(17, kSpan);
     pages.setHome(PageNum(1), 3);
     pages.setHome(PageNum(2), 0);
-    PerfectPagePolicy policy(16, 1000, 4);
+    PerfectPagePolicy policy(16, kSpan, 1000, 4);
     for (int i = 0; i < 100; ++i)
         policy.recordAccess(PageNum(1), 3); // already home
     policy.recordAccess(PageNum(2), 5); // too cold (1 < 4)
@@ -442,7 +447,7 @@ TEST(PerfectPolicy, IgnoresColdAndWellPlacedPages)
 
 TEST(PageStats, MajorityAndSharers)
 {
-    PageAccessStats st(16);
+    PageAccessStats st(16, kSpan);
     st.record(PageNum(7), 2);
     st.record(PageNum(7), 2);
     st.record(PageNum(7), 9);
@@ -456,8 +461,8 @@ TEST(PageStats, MajorityAndSharers)
 
 TEST(Oracle, PrivatePagesGoToTheirSocket)
 {
-    OraclePlacement oracle(16);
-    mem::PageMap pages(17);
+    OraclePlacement oracle(16, kSpan);
+    mem::PageMap pages(17, kSpan);
     oracle.recordAccess(PageNum(1), 4);
     oracle.recordAccess(PageNum(1), 4);
     oracle.place(pages, true, 1000);
@@ -466,8 +471,8 @@ TEST(Oracle, PrivatePagesGoToTheirSocket)
 
 TEST(Oracle, WidelySharedPagesGoToPool)
 {
-    OraclePlacement oracle(16);
-    mem::PageMap pages(17);
+    OraclePlacement oracle(16, kSpan);
+    mem::PageMap pages(17, kSpan);
     for (int s = 0; s < 10; ++s)
         oracle.recordAccess(PageNum(1), s);
     std::uint64_t placed = oracle.place(pages, true, 1000);
@@ -477,8 +482,8 @@ TEST(Oracle, WidelySharedPagesGoToPool)
 
 TEST(Oracle, BaselineModeNeverUsesPool)
 {
-    OraclePlacement oracle(16);
-    mem::PageMap pages(17);
+    OraclePlacement oracle(16, kSpan);
+    mem::PageMap pages(17, kSpan);
     for (int s = 0; s < 16; ++s)
         oracle.recordAccess(PageNum(1), s);
     EXPECT_EQ(oracle.place(pages, false, 1000), 0u);
@@ -487,8 +492,8 @@ TEST(Oracle, BaselineModeNeverUsesPool)
 
 TEST(Oracle, PoolCapacityTakesHottestPages)
 {
-    OraclePlacement oracle(16);
-    mem::PageMap pages(17);
+    OraclePlacement oracle(16, kSpan);
+    mem::PageMap pages(17, kSpan);
     // Page 1: 10 sharers, 10 accesses. Page 2: 10 sharers, 20.
     for (int s = 0; s < 10; ++s)
         oracle.recordAccess(PageNum(1), s);
@@ -522,7 +527,7 @@ TEST(Shootdown, SoftwareCostScalesWithCores)
 
 TEST(TlbDirectory, TracksFillsAndEvictions)
 {
-    TlbDirectory dir(64);
+    TlbDirectory dir(64, kSpan);
     dir.fill(PageNum(10), 3);
     dir.fill(PageNum(10), 7);
     EXPECT_EQ(dir.holderCount(PageNum(10)), 2);
@@ -536,7 +541,7 @@ TEST(TlbDirectory, TracksFillsAndEvictions)
 
 TEST(TlbDirectory, ShootdownTargetsOnlyHolders)
 {
-    TlbDirectory dir(64);
+    TlbDirectory dir(64, kSpan);
     dir.fill(PageNum(5), 1);
     dir.fill(PageNum(5), 2);
     EXPECT_EQ(dir.shootdown(PageNum(5)), 2);
@@ -549,7 +554,7 @@ TEST(TlbDirectory, ShootdownTargetsOnlyHolders)
 
 TEST(TlbDirectory, SupportsWideSystems)
 {
-    TlbDirectory dir(128); // SC3: 128 threads
+    TlbDirectory dir(128, kSpan); // SC3: 128 threads
     dir.fill(PageNum(1), 127);
     dir.fill(PageNum(1), 0);
     EXPECT_TRUE(dir.holders(PageNum(1)).test(127));
@@ -559,8 +564,8 @@ TEST(TlbDirectory, SupportsWideSystems)
 
 TEST(TlbDirectory, AnnexIntegrationMirrorsResidency)
 {
-    RegionTracker tracker(16, 16, kRegion);
-    TlbDirectory dir(4);
+    RegionTracker tracker(16, 16, kRegion, kSpan);
+    TlbDirectory dir(4, kSpan);
     TlbAnnex tlb({4, 1}, tracker, 0); // 4 sets, direct mapped
     tlb.attachDirectory(&dir, 2);
 
@@ -573,6 +578,116 @@ TEST(TlbDirectory, AnnexIntegrationMirrorsResidency)
     // Annex-side shootdown also clears the directory.
     tlb.shootdown(pageNumber(4 * pageBytes));
     EXPECT_EQ(dir.holderCount(PageNum(4)), 0);
+}
+
+// --- Out-of-range keys (DESIGN.md §12) ---
+//
+// Every page- and region-keyed table covers the range given at
+// construction: a write outside it panics, a read outside it sees
+// the untouched value.
+
+/** Pages 20..27: the middle half of region 1 (pages 16..31). */
+constexpr PageRange kPartial{PageNum(20), 8};
+
+TEST(DenseTableDeathTest, RegionTrackerRecordOutsideRangePanics)
+{
+    RegionTracker t(16, 16, kRegion, kPartial);
+    t.record(1 * kRegion, 0); // region 1 holds the range
+    EXPECT_DEATH(t.record(0, 0), "outside the tracker's range");
+    EXPECT_DEATH(t.record(2 * kRegion, 0),
+                 "outside the tracker's range");
+}
+
+TEST(DenseTableDeathTest, TlbDirectoryFillOutsideRangePanics)
+{
+    TlbDirectory dir(4, kPartial);
+    dir.fill(PageNum(27), 0);
+    EXPECT_DEATH(dir.fill(PageNum(19), 0),
+                 "outside the TLB directory's range");
+    EXPECT_DEATH(dir.fill(PageNum(28), 0),
+                 "outside the TLB directory's range");
+}
+
+TEST(DenseTableDeathTest, PageStatsRecordOutsideRangePanics)
+{
+    PageAccessStats st(16, kPartial);
+    st.record(PageNum(20), 3);
+    EXPECT_DEATH(st.record(PageNum(19), 3),
+                 "outside the access-stats range");
+    EXPECT_DEATH(st.record(PageNum(28), 3),
+                 "outside the access-stats range");
+    EXPECT_DEATH(st.record(PageNum(21), 16), "unknown socket 16");
+}
+
+TEST(DenseTables, OutOfRangeReadsAreUntouched)
+{
+    RegionTracker t(16, 16, kRegion, kPartial);
+    t.record(1 * kRegion, 5, 9);
+    EXPECT_EQ(t.entry(1).accesses, 9u);
+    EXPECT_EQ(t.entry(0).sharerMask, 0u);
+    EXPECT_EQ(t.entry(0).accesses, 0u);
+    EXPECT_EQ(t.entry(2).sharerMask, 0u);
+    EXPECT_EQ(t.entry(~RegionId(0)).accesses, 0u);
+
+    TlbDirectory dir(4, kPartial);
+    dir.fill(PageNum(20), 1);
+    EXPECT_FALSE(dir.holders(PageNum(19)).any());
+    EXPECT_FALSE(dir.holders(PageNum(28)).any());
+    EXPECT_EQ(dir.holderCount(PageNum(28)), 0);
+    // Shooting down a page nobody can hold targets no core.
+    EXPECT_EQ(dir.shootdown(PageNum(28)), 0);
+    EXPECT_EQ(dir.trackedPages(), 1u);
+
+    PageAccessStats st(16, kPartial);
+    st.record(PageNum(27), 2, 4);
+    EXPECT_EQ(st.totalAccesses(PageNum(27)), 4u);
+    EXPECT_EQ(st.totalAccesses(PageNum(19)), 0u);
+    EXPECT_EQ(st.totalAccesses(PageNum(28)), 0u);
+    EXPECT_EQ(st.sharers(PageNum(28)), 0);
+    EXPECT_EQ(st.majoritySocket(PageNum(28)), -1);
+}
+
+TEST(DenseTables, PageStatsFollowFirstAccessOrderAcrossReset)
+{
+    PageAccessStats st(4, kPartial);
+    st.record(PageNum(22), 1, 3);
+    st.record(PageNum(21), 0, 1);
+    std::vector<PageNum> seen;
+    st.forEach([&](PageNum page, const std::uint32_t *counts) {
+        seen.push_back(page);
+        EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3],
+                  page == PageNum(22) ? 3u : 1u);
+    });
+    // First-access order, not page order.
+    EXPECT_EQ(seen, (std::vector<PageNum>{PageNum(22), PageNum(21)}));
+    st.reset();
+    EXPECT_EQ(st.touchedPages(), 0u);
+    EXPECT_EQ(st.totalAccesses(PageNum(22)), 0u);
+    st.record(PageNum(21), 2);
+    EXPECT_EQ(st.touchedPages(), 1u);
+    EXPECT_EQ(st.majoritySocket(PageNum(21)), 2);
+}
+
+TEST(DenseTables, RegionMoveSkipsPagesOutsideThePageMap)
+{
+    // Region 1 spans pages 16..31 but the map covers only 20..27:
+    // Algorithm 1 reads the homes of all 16 pages (below and past
+    // the range) and moves just the mapped ones.
+    RegionTracker tracker(16, 16, kRegion, kPartial);
+    mem::PageMap pages(17, kPartial);
+    MigrationEngine engine(MigrationConfig{}, 16, true, kRegion, 42);
+    for (std::uint64_t p = 20; p < 28; ++p)
+        pages.setHome(PageNum(p), 3);
+    for (int s = 0; s < 16; ++s)
+        tracker.record(1 * kRegion, s, 100);
+    auto plan = engine.decidePhase(tracker, pages, 100000, 1);
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan[0].from, 3);
+    EXPECT_EQ(plan[0].to, 16);
+    EXPECT_EQ(pages.pagesAt(16), 8u);
+    EXPECT_EQ(pages.totalPages(), 8u);
+    EXPECT_EQ(pages.home(PageNum(16)), mem::invalidNode);
+    EXPECT_EQ(pages.home(PageNum(31)), mem::invalidNode);
 }
 
 } // anonymous namespace

@@ -205,6 +205,30 @@ TEST(TimingSim, AllLocalTraceRunsNearUnloadedLatency)
     EXPECT_GT(m.ipc, 0.1);
 }
 
+TEST(TimingSimDeathTest, OversizedPageSpanPanicsBeforeAllocating)
+{
+    // Pages 0 and 2^40: dense page tables over that span would be a
+    // multi-terabyte allocation; both steps refuse it by name.
+    SimScale s = tinyScale();
+    trace::WorkloadTrace trace;
+    trace.workload = "outliers";
+    trace.threads = s.threads();
+    trace.instructionsPerThread = s.phases * s.phaseInstructions;
+    trace.perThread.resize(trace.threads);
+    trace.perThread[0].emplace_back(100, 0, false);
+    trace.perThread[0].emplace_back(200, pageBase(PageNum(1ULL << 40)),
+                                    false);
+    SystemSetup setup = SystemSetup::starnuma();
+    TraceSim tsim(setup, s);
+    EXPECT_DEATH(tsim.run(trace),
+                 "trace 'outliers' spans 1099511627777 pages");
+    TraceSimResult placement;
+    placement.checkpoints.resize(s.phases);
+    TimingSim timing(setup, s);
+    EXPECT_DEATH(timing.run(trace, placement),
+                 "trace 'outliers' spans 1099511627777 pages");
+}
+
 TEST(TimingSim, SharedTraceBenefitsFromPool)
 {
     SimScale s = tinyScale();

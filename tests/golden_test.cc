@@ -130,7 +130,7 @@ TEST(Golden, Fig8SpeedupOrderingPinned)
 /**
  * The step-B checkpoint artifact and the stats JSON/CSV exports
  * must be byte-identical whether the pool runs 1, 4, or 8 worker
- * threads — the determinism contract the flat-table replay path
+ * threads — the determinism contract the dense-table replay path
  * (DESIGN.md §12) and the canonical merge order both feed. A single
  * changed byte here means some code path let thread scheduling leak
  * into model output or artifact layout.
@@ -138,8 +138,9 @@ TEST(Golden, Fig8SpeedupOrderingPinned)
 TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
 {
     SimScale s = SimScale::tiny();
-    // A real capture (not a synthetic trace) so replay takes the
-    // dense flat-table path that production runs use.
+    // A real capture (not a synthetic trace), so the replay's page
+    // tables span one contiguous bump-allocated range, as in
+    // production runs.
     auto trace = workloads::makeWorkload("tc")->capture(s);
     obs::StatsSink &sink = obs::StatsSink::global();
 

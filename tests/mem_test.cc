@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/directory.hh"
 #include "mem/dram.hh"
@@ -204,9 +207,12 @@ TEST(Dram, RowConflictsPayFullRowCycle)
 
 // --- PageMap ---
 
+/** Pages the page maps below cover. */
+constexpr PageRange kPages{PageNum(0), 16};
+
 TEST(PageMap, FirstTouchSticks)
 {
-    PageMap pm(17);
+    PageMap pm(17, kPages);
     EXPECT_EQ(pm.home(PageNum(5)), invalidNode);
     EXPECT_EQ(pm.touch(PageNum(5), 3), 3);
     EXPECT_EQ(pm.touch(PageNum(5), 9), 3); // later toucher does not move it
@@ -217,7 +223,7 @@ TEST(PageMap, FirstTouchSticks)
 
 TEST(PageMap, SetHomeMovesCounts)
 {
-    PageMap pm(17);
+    PageMap pm(17, kPages);
     pm.touch(PageNum(1), 0);
     pm.touch(PageNum(2), 0);
     pm.setHome(PageNum(1), 16); // migrate to pool
@@ -229,7 +235,7 @@ TEST(PageMap, SetHomeMovesCounts)
 
 TEST(PageMap, SetHomeOnUnmappedPageMaps)
 {
-    PageMap pm(4);
+    PageMap pm(4, kPages);
     pm.setHome(PageNum(7), 2);
     EXPECT_EQ(pm.home(PageNum(7)), 2);
     EXPECT_EQ(pm.pagesAt(2), 1u);
@@ -237,13 +243,58 @@ TEST(PageMap, SetHomeOnUnmappedPageMaps)
 
 TEST(PageMap, ForEachVisitsAll)
 {
-    PageMap pm(4);
+    PageMap pm(4, kPages);
     pm.touch(PageNum(1), 0);
     pm.touch(PageNum(2), 1);
     pm.touch(PageNum(3), 2);
     int visits = 0;
     pm.forEach([&](PageNum, NodeId) { ++visits; });
     EXPECT_EQ(visits, 3);
+}
+
+TEST(PageMapDeathTest, WritesOutsideRangePanic)
+{
+    PageMap pm(4, PageRange{PageNum(8), 4});
+    pm.touch(PageNum(8), 0);
+    pm.setHome(PageNum(11), 1);
+    EXPECT_DEATH(pm.touch(PageNum(7), 0),
+                 "outside the page map's range");
+    EXPECT_DEATH(pm.touch(PageNum(12), 0),
+                 "outside the page map's range");
+    EXPECT_DEATH(pm.setHome(PageNum(7), 1),
+                 "outside the page map's range");
+    EXPECT_DEATH(pm.setHome(PageNum(12), 1),
+                 "outside the page map's range");
+}
+
+TEST(PageMap, ReadsOutsideRangeAreUnmapped)
+{
+    PageMap pm(4, PageRange{PageNum(8), 4});
+    pm.touch(PageNum(8), 2);
+    EXPECT_EQ(pm.home(PageNum(7)), invalidNode);
+    EXPECT_EQ(pm.home(PageNum(12)), invalidNode);
+    EXPECT_EQ(pm.home(PageNum(0)), invalidNode);
+    EXPECT_EQ(pm.home(PageNum::max()), invalidNode);
+
+    PageMap empty(4, PageRange{});
+    EXPECT_EQ(empty.home(PageNum(0)), invalidNode);
+    EXPECT_EQ(empty.totalPages(), 0u);
+}
+
+TEST(PageMap, ForEachFollowsFirstMappingOrder)
+{
+    PageMap pm(4, kPages);
+    pm.touch(PageNum(9), 0);
+    pm.setHome(PageNum(2), 1);
+    pm.touch(PageNum(5), 2);
+    pm.setHome(PageNum(9), 3); // a move keeps the page's position
+    std::vector<std::pair<PageNum, NodeId>> seen;
+    pm.forEach([&](PageNum page, NodeId home) {
+        seen.emplace_back(page, home);
+    });
+    std::vector<std::pair<PageNum, NodeId>> want{
+        {PageNum(9), 3}, {PageNum(2), 1}, {PageNum(5), 2}};
+    EXPECT_EQ(seen, want);
 }
 
 // --- Directory ---

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "core/tlb_annex.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "topology/topology.hh"
@@ -98,7 +96,9 @@ class TrackerSaturation : public ::testing::TestWithParam<int>
 TEST_P(TrackerSaturation, CounterNeverExceedsWidth)
 {
     int bits = GetParam();
-    core::RegionTracker t(bits, 16, 16 * 1024);
+    // Addresses below 1 MB: pages 0..255.
+    core::RegionTracker t(bits, 16, 16 * 1024,
+                          PageRange{PageNum(0), 256});
     Rng rng(5);
     std::uint32_t cap =
         bits == 0 ? 0
@@ -128,14 +128,15 @@ TEST_P(MigrationInvariants, PagesConservedAndPoolBounded)
     std::uint64_t seed = GetParam();
     constexpr Addr region = 16 * 1024;
     constexpr int ppr = region / pageBytes;
-    core::RegionTracker tracker(16, 16, region);
-    mem::PageMap pages(17);
+    constexpr int n_regions = 64;
+    constexpr PageRange span{PageNum(0), n_regions * ppr};
+    core::RegionTracker tracker(16, 16, region, span);
+    mem::PageMap pages(17, span);
     core::MigrationConfig cfg;
     cfg.migrationLimitPages = 64;
     core::MigrationEngine engine(cfg, 16, true, region, seed);
 
     Rng rng(seed);
-    constexpr int n_regions = 64;
     // Map every region somewhere.
     for (core::RegionId r = 0; r < n_regions; ++r)
         for (int p = 0; p < ppr; ++p)
@@ -180,7 +181,9 @@ class TlbGeometry
 TEST_P(TlbGeometry, EveryAccessEventuallyCounted)
 {
     auto [entries, ways] = GetParam();
-    core::RegionTracker tracker(24, 16, 16 * 1024);
+    // Addresses below 4 MB: pages 0..1023.
+    core::RegionTracker tracker(24, 16, 16 * 1024,
+                                PageRange{PageNum(0), 1024});
     core::TlbAnnex tlb({entries, ways}, tracker, 4);
     Rng rng(11);
     constexpr int accesses = 8000;
@@ -331,120 +334,6 @@ TEST_P(WorkloadDeterminism, SameSeedSameTrace)
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadDeterminism,
                          ::testing::Values("bfs", "masstree",
                                            "tpcc", "poa"));
-
-// --- Arena (sim/arena.hh): the lifetime rules of DESIGN.md §12 ---
-
-class ArenaProperty : public ::testing::TestWithParam<int>
-{
-};
-
-/**
- * Random allocation sequences: every returned pointer respects its
- * requested alignment, lies inside the buffer, and never overlaps a
- * previous live allocation (checked by filling each block with a
- * distinct byte and re-verifying all blocks at the end).
- */
-TEST_P(ArenaProperty, AlignedDisjointInBoundsAllocations)
-{
-    Rng rng(GetParam());
-    const std::size_t cap = 1 << 16;
-    Arena arena(cap);
-    struct Block
-    {
-        unsigned char *p;
-        std::size_t bytes;
-        unsigned char fill;
-    };
-    std::vector<Block> blocks;
-    for (int i = 0; i < 400; ++i) {
-        std::size_t bytes = rng.range32(300);
-        std::size_t align = std::size_t(1) << rng.range32(7);
-        auto *p = static_cast<unsigned char *>(
-            arena.allocate(bytes, align));
-        if (!p)
-            break; // exhausted; covered below
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-        auto fill = static_cast<unsigned char>(i);
-        std::memset(p, fill, bytes);
-        blocks.push_back({p, bytes, fill});
-        EXPECT_LE(arena.used(), arena.capacity());
-        EXPECT_EQ(arena.remaining(),
-                  arena.capacity() - arena.used());
-    }
-    // No allocation clobbered an earlier one.
-    for (const Block &b : blocks)
-        for (std::size_t i = 0; i < b.bytes; ++i)
-            ASSERT_EQ(b.p[i], b.fill);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ArenaProperty,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-/** Exhaustion is reported via nullptr + a counter — never by
- *  writing past the buffer or wrapping the bump offset. */
-TEST(ArenaProperty, ExhaustionReportedNotOverflowed)
-{
-    Arena arena(256);
-    void *a = arena.allocate(200, 1);
-    ASSERT_NE(a, nullptr);
-    std::memset(a, 0xab, 200);
-    std::size_t used_before = arena.used();
-
-    EXPECT_EQ(arena.allocate(100, 1), nullptr);
-    EXPECT_EQ(arena.exhaustions(), 1u);
-    EXPECT_EQ(arena.used(), used_before); // failed alloc is a no-op
-
-    // Pathological sizes must not wrap the offset arithmetic.
-    EXPECT_EQ(arena.allocate(~std::size_t(0), 1), nullptr);
-    EXPECT_EQ(arena.allocate(~std::size_t(0) - 64, 128), nullptr);
-    EXPECT_EQ(arena.allocArray<std::uint64_t>(~std::size_t(0) / 4),
-              nullptr);
-    EXPECT_EQ(arena.exhaustions(), 4u);
-
-    // The earlier allocation survived every refused request.
-    for (int i = 0; i < 200; ++i)
-        ASSERT_EQ(static_cast<unsigned char *>(a)[i], 0xab);
-
-    // What still fits is still granted.
-    EXPECT_NE(arena.allocate(arena.remaining(), 1), nullptr);
-    EXPECT_EQ(arena.remaining(), 0u);
-}
-
-/** reset() restores the full capacity and reuses the same buffer. */
-TEST(ArenaProperty, ResetRestoresFullCapacity)
-{
-    const std::size_t cap = 4096;
-    Arena arena(cap);
-    for (int cycle = 0; cycle < 10; ++cycle) {
-        void *whole = arena.allocate(cap, 1);
-        ASSERT_NE(whole, nullptr);
-        EXPECT_EQ(arena.used(), cap);
-        EXPECT_EQ(arena.allocate(1, 1), nullptr);
-        arena.reset();
-        EXPECT_EQ(arena.used(), 0u);
-        EXPECT_EQ(arena.remaining(), cap);
-    }
-    // Exhaustion count is lifetime, not per-cycle.
-    EXPECT_EQ(arena.exhaustions(), 10u);
-}
-
-/** allocArray zero-initializes even over recycled dirty memory. */
-TEST(ArenaProperty, AllocArrayZeroesRecycledMemory)
-{
-    Arena arena(1 << 12);
-    void *dirty = arena.allocate(1 << 12, 1);
-    ASSERT_NE(dirty, nullptr);
-    std::memset(dirty, 0xff, 1 << 12);
-    arena.reset();
-
-    auto *counters = arena.allocArray<std::uint32_t>(256);
-    ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(counters) %
-                  alignof(std::uint32_t),
-              0u);
-    for (int i = 0; i < 256; ++i)
-        ASSERT_EQ(counters[i], 0u);
-}
 
 } // anonymous namespace
 } // namespace starnuma

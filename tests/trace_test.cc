@@ -106,6 +106,48 @@ TEST(Trace, RecordsPerKiloInstruction)
     EXPECT_DOUBLE_EQ(t.recordsPerKiloInstruction(), 5.0);
 }
 
+TEST(Trace, PageSpanScansHandBuiltTraces)
+{
+    WorkloadTrace t;
+    t.threads = 2;
+    t.perThread.resize(2);
+    t.perThread[0].emplace_back(1, 7 * pageBytes + 8, false);
+    t.perThread[1].emplace_back(1, 3 * pageBytes, true);
+    t.firstTouches.push_back({PageNum(2), 1});
+    PageRange span = pageSpan(t);
+    EXPECT_EQ(span.base, PageNum(2));
+    EXPECT_EQ(span.pages, 6u);
+}
+
+TEST(Trace, PageSpanUsesTheStampedRange)
+{
+    WorkloadTrace t;
+    t.minPage = PageNum(10);
+    t.maxPage = PageNum(19);
+    PageRange span = pageSpan(t);
+    EXPECT_EQ(span.base, PageNum(10));
+    EXPECT_EQ(span.pages, 10u);
+}
+
+TEST(Trace, PageSpanOfEmptyTraceIsEmpty)
+{
+    WorkloadTrace t;
+    t.threads = 4;
+    t.perThread.resize(4);
+    EXPECT_EQ(pageSpan(t).pages, 0u);
+}
+
+TEST(TraceDeathTest, PageSpanOverTheLimitPanics)
+{
+    WorkloadTrace t;
+    t.workload = "wide";
+    t.minPage = PageNum(1);
+    t.maxPage = PageNum(maxSpanPages); // exactly at the limit
+    EXPECT_EQ(pageSpan(t).pages, maxSpanPages);
+    t.maxPage = PageNum(maxSpanPages + 1);
+    EXPECT_DEATH(pageSpan(t), "trace 'wide' spans 1048577 pages");
+}
+
 // --- SharingProfile ---
 
 WorkloadTrace
