@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_util.hh"
 #include "core/region_tracker.hh"
 #include "core/tlb_annex.hh"
@@ -26,16 +28,37 @@ using namespace starnuma;
 namespace
 {
 
+/** A 40-byte record, the size of step C's typed events. */
+struct BenchEvent
+{
+    std::uint64_t words[5];
+};
+
+/**
+ * Classic "hold" model at step C's working depth: the queue holds
+ * 333 events (the mean depth measured over a default-scale phase)
+ * and each iteration pops the earliest and schedules one follow-up
+ * a pseudo-random 1-1024 cycles later, as a handler does.
+ */
 void
 BM_EventQueue(benchmark::State &state)
 {
-    EventQueue q;
-    std::uint64_t n = 0;
+    constexpr int depth = 333;
+    std::vector<Cycles> delta(4096);
+    Rng rng(1);
+    for (Cycles &d : delta)
+        d = Cycles(1 + rng.range32(1024));
+    EventQueue<BenchEvent> q(depth);
+    for (int i = 0; i < depth; ++i)
+        q.schedule(delta[i], BenchEvent{});
+    std::size_t i = 0;
+    BenchEvent ev;
     for (auto _ : state) {
-        q.scheduleAfter(Cycles(1), [&n] { ++n; });
-        q.step();
+        q.pop(ev);
+        ev.words[0] += 1;
+        q.schedule(q.now() + delta[i++ & 4095], ev);
     }
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(ev);
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueue);

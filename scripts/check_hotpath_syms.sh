@@ -76,6 +76,12 @@ MANIFEST = [
     r"starnuma::core::RegionTracker::record\(",
     r"starnuma::core::PageAccessStats::record\(",
     r"starnuma::mem::PageMap::touch\(",
+    r"starnuma::driver::\(anonymous namespace\)::PhaseSim::run\(",
+    r"starnuma::driver::\(anonymous namespace\)::PhaseSim::issueNext\(",
+    r"starnuma::driver::\(anonymous namespace\)::PhaseSim::"
+    r"missAfterStall\(",
+    r"starnuma::EventQueue<.*>::schedule\(",
+    r"starnuma::EventQueue<.*>::pop\(",
 ]
 
 # A call target starting with any of these is a hot-path violation.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "mem/directory.hh"
 #include "mem/dram.hh"
 #include "mem/page_map.hh"
+#include "sim/annotations.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
@@ -43,6 +43,11 @@ constexpr std::uint64_t metadataWritePeriod = 32;
 /** Page data is streamed in chunks of this many blocks. */
 constexpr int migrationChunkBlocks = 4;
 
+/** Bytes on the wire per migration chunk (data plus a header per
+ *  block). */
+constexpr Addr migrationChunkBytes =
+    migrationChunkBlocks * (blockBytes + 8);
+
 /** Stream/counter names per topology::LinkType index. */
 constexpr const char *linkTypeNames[3] = {"upi", "numalink", "cxl"};
 
@@ -64,10 +69,21 @@ phasePrefix(int phase)
 struct MachineState
 {
     MachineState(const SystemSetup &setup, const SimScale &scale,
-                 const CoreModel &core, PageRange span)
+                 const CoreModel &core, PageRange page_span,
+                 const FlatSet<PageNum> &replicated_pages)
         : topo(setup.sys), directory(setup.sys.sockets),
-          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0), span)
+          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0),
+                page_span),
+          span(page_span), migrating(page_span.pages),
+          replicated(page_span.pages)
     {
+        // Replicated pages come from step B's replay of the same
+        // trace, so they lie in the span; one outside it could
+        // never be accessed here anyway.
+        for (PageNum page : replicated_pages)
+            if (span.slot(page) < span.pages)
+                replicated[span.slot(page)] = 1;
+
         mem::CacheConfig llc_cfg{
             static_cast<Addr>(scale.coresPerSocket) *
                 core.llcBytesPerCore,
@@ -92,7 +108,17 @@ struct MachineState
         // table (sized to the trace's page span, like step B's).
         for (const auto &[page, home] : checkpoint.pageHome)
             pages.setHome(page, home);
-        migrating.clear();
+        std::fill(migrating.begin(), migrating.end(), Cycles());
+    }
+
+    /** Slot of trace page @p page in the dense per-page tables. */
+    std::uint64_t
+    slot(PageNum page) const
+    {
+        std::uint64_t i = span.slot(page);
+        sn_assert(i < span.pages, "page %llu outside the trace's span",
+                  static_cast<unsigned long long>(page.value()));
+        return i;
     }
 
     /** Register the machine's component stats (links, LLCs, DRAM,
@@ -118,10 +144,57 @@ struct MachineState
     std::vector<mem::MemoryController> mcs;
     mem::Directory directory;
     mem::PageMap pages;
-    FlatMap<PageNum, Cycles> migrating;
+
+    // Dense per-page tables over the trace's page span, indexed by
+    // slot(page), like the PageMap (DESIGN.md §12).
+    PageRange span;
+    // Cycle at which each page's in-flight migration lands; Cycles()
+    // when none is in flight this phase (an arrival is never 0).
+    std::vector<Cycles> migrating;
     // Mutable copy of the §V-F replication set: a write to a
     // replicated page de-replicates it for the rest of the run.
-    FlatSet<PageNum> replicated;
+    std::vector<std::uint8_t> replicated;
+};
+
+/** What a step-C event does when it fires (PhaseSim::dispatch). */
+enum class EventKind : std::uint8_t
+{
+    Issue,          ///< a core's next issue slot
+    Pace,           ///< light-core pacing and epoch telemetry
+    Migrate,        ///< a modeled page or region migration starts
+    MigrationChunk, ///< one chunk of page data enters the link
+    Writeback,      ///< a dirty victim reaches its home's DRAM
+    MissResume,     ///< a miss stalled on a migration resumes
+    AtHome,         ///< a request reached the home: DRAM access
+    HomeRead,       ///< the home's DRAM access finished
+    AtOwner,        ///< a forwarded request reached the owner
+    AtPool,         ///< 4-hop data is back at the pool
+    Complete,       ///< the data reached the requester
+};
+
+/**
+ * One step-C event: its kind and a plain-data payload. Field use
+ * per kind: misses (MissResume .. Complete) carry the requesting
+ * core, the miss's instruction, issue cycle, access class and stats
+ * flag, the block (the virtual address for MissResume, whose flag
+ * is the write bit) and the home/owner nodes. Migrate moves @c instr
+ * pages starting at the page of @c addr from @c home to @c owner;
+ * MigrationChunk streams the page of @c addr from @c home to
+ * @c owner, flagged on its last chunk; Writeback writes block
+ * @c addr at node @c home.
+ */
+struct StepEvent
+{
+    EventKind kind = EventKind::Issue;
+    AccessType type = AccessType::Local;
+    bool flag = false;
+    bool countStats = false;
+    NodeId home = 0;
+    NodeId owner = 0;
+    std::uint32_t core = 0;
+    std::uint64_t instr = 0;
+    Cycles issued{};
+    Addr addr = 0;
 };
 
 /**
@@ -159,8 +232,7 @@ class PhaseSim
   private:
     struct Outstanding
     {
-        std::uint64_t instr;
-        Cycles done;
+        std::uint64_t instr = 0;
         bool complete = false;
     };
 
@@ -179,29 +251,46 @@ class PhaseSim
         Cycles doneCycle;
         Cycles warmupCycle;
         bool warmupCrossed = false;
-        std::deque<Outstanding> pending;
+        // In-flight misses, oldest first: a ring of core.mshrs
+        // slots starting at outstanding[ring].
+        std::size_t ring = 0;
+        int head = 0;
+        int inFlight = 0;
     };
+
+    /** Execute one popped event. */
+    void dispatch(const StepEvent &ev);
+
+    // --- in-flight miss ring of a core ---
+    /** Slot in outstanding of @p c's @p i-th oldest in-flight miss. */
+    std::size_t
+    inFlightSlot(const CoreState &c, int i) const
+    {
+        int j = c.head + i;
+        return c.ring + static_cast<std::size_t>(
+                            j < core.mshrs ? j : j - core.mshrs);
+    }
+    void retireCompleted(CoreState &c);
 
     // --- core actors ---
     void scheduleIssue(CoreState &c, Cycles when);
-    void issueNext(CoreState &c);
-    void onComplete(CoreState &c, std::uint64_t instr, Cycles done,
-                    AccessType type, bool count_stats,
-                    Cycles issued);
+    STARNUMA_AUDITED_SYMBOL void issueNext(CoreState &c);
+    void onComplete(CoreState &c, std::uint64_t instr);
     bool frontBlocks(const CoreState &c,
                      std::uint64_t next_instr) const;
     void finishCore(CoreState &c);
     void pace();
-    void sampleEpoch(bool emit_trace);
+    STARNUMA_COLD_PATH void sampleEpoch(bool emit_trace);
     bool allDetailedDone() const;
 
     // --- memory system (asynchronous request path) ---
     /** Start a miss's journey; completion is an event at 'done'. */
     void startMiss(CoreState &c, Addr vaddr, bool write,
                    std::uint64_t instr, bool count_stats);
-    void missAfterStall(CoreState &c, Addr vaddr, bool write,
-                        std::uint64_t instr, bool count_stats,
-                        Cycles issued);
+    STARNUMA_AUDITED_SYMBOL void
+    missAfterStall(CoreState &c, Addr vaddr, bool write,
+                   std::uint64_t instr, bool count_stats,
+                   Cycles issued);
     void finishMiss(CoreState &c, std::uint64_t instr,
                     AccessType type, bool count_stats,
                     Cycles issued, Cycles done);
@@ -218,22 +307,28 @@ class PhaseSim
     std::uint64_t windowStart;
     std::uint64_t windowEnd;
     std::uint64_t warmupInstr;
+    Cycles onChip;
 
-    EventQueue q;
+    EventQueue<StepEvent> q;
     MachineState &machine;
     topology::Topology &topo;
     std::vector<mem::Cache> &llcs;
     std::vector<mem::MemoryController> &mcs;
     mem::Directory &directory;
     mem::PageMap &pages;
-    FlatMap<PageNum, Cycles> &migrating;
     std::vector<CoreState> cores;
+    std::vector<Outstanding> outstanding; ///< every core's ring
     int phase_;
     double lightCpi;
     std::uint64_t lastPaceInstr = 0;
     Cycles lastPaceCycle;
     std::uint64_t missCount = 0;
     bool stop = false;
+    // Telemetry gates, read once per phase so the event loop never
+    // enters the sinks: a trace session records (tracing), and it or
+    // a time-series sink wants pacer-epoch samples (sampling).
+    bool tracing = false;
+    bool sampling = false;
 
     // Simulated-timeline epoch telemetry: the deterministic series
     // is the single source; trace counter events re-emit from it.
@@ -270,15 +365,23 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
                    MachineState &machine_state)
     : setup(system_setup), scale(sim_scale),
       options(timing_options), core(core_model),
-      trace(workload_trace), machine(machine_state),
-      topo(machine.topo),
+      trace(workload_trace),
+      onChip(nsToCycles(setup.sys.onChipNs)),
+      // Every core's in-flight misses and issue slot, plus pacing
+      // and migration traffic: the working depth, so the slab
+      // rarely grows.
+      q(static_cast<std::size_t>(sim_scale.threads()) *
+            static_cast<std::size_t>(core_model.mshrs + 2) +
+        64),
+      machine(machine_state), topo(machine.topo),
       llcs(machine.llcs), mcs(machine.mcs),
       directory(machine.directory), pages(machine.pages),
-      migrating(machine.migrating), phase_(phase),
-      lightCpi(core.baseCpi * 2)
+      phase_(phase), lightCpi(core.baseCpi * 2)
 {
     machine.newPhase(checkpoint);
     statCoherence0 = directory.transactions();
+    tracing = obs::TraceSession::global().enabled();
+    sampling = tracing || obs::TimeSeriesSink::global().enabled();
 
     windowStart = static_cast<std::uint64_t>(phase) *
                   scale.phaseInstructions;
@@ -293,9 +396,13 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     int threads = options.singleSocketLocal ? scale.coresPerSocket
                                             : scale.threads();
     cores.resize(threads);
+    outstanding.resize(static_cast<std::size_t>(threads) *
+                       static_cast<std::size_t>(core.mshrs));
     for (ThreadId t = 0; t < threads; ++t) {
         CoreState &c = cores[t];
         c.thread = t;
+        c.ring = static_cast<std::size_t>(t) *
+                 static_cast<std::size_t>(core.mshrs);
         c.socket = t / scale.coresPerSocket;
         c.detailed = (c.socket == 0);
         const auto &recs = trace.perThread[t];
@@ -376,21 +483,27 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     for (std::size_t i = 0; i < n_regions; ++i) {
         const auto &m = checkpoint.regionMigrations[i];
         PageNum first = regionFirstPage(m.region, setup.regionBytes);
-        q.schedule(when, [this, first, ppr, m] {
-            applyMigration(q.now(), first, ppr, m.from, m.to);
-        });
+        q.schedule(when, StepEvent{.kind = EventKind::Migrate,
+                                   .home = m.from,
+                                   .owner = m.to,
+                                   .instr = static_cast<std::uint64_t>(ppr),
+                                   .addr = pageBase(first)});
         when += spacing;
     }
     when = spacing + Cycles(1);
     for (std::size_t i = 0; i < n_pages; ++i) {
         const auto &m = checkpoint.pageMigrations[i];
-        q.schedule(when, [this, m] {
-            applyMigration(q.now(), m.page, 1, m.from, m.to);
-        });
+        q.schedule(when, StepEvent{.kind = EventKind::Migrate,
+                                   .home = m.from,
+                                   .owner = m.to,
+                                   .instr = 1,
+                                   .addr = pageBase(m.page)});
         when += spacing;
     }
 }
 
+// lint: cold-path a few hundred modeled migrations per phase at most
+// (the page budget), each remapping pages that are already mapped
 void
 PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
                          NodeId from, NodeId to)
@@ -398,13 +511,11 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
     // Shootdowns and the page-map update happen up front; the data
     // streams over the interconnect chunk by chunk, and accesses to
     // a page stall until its last chunk has arrived (§IV-C).
-    Addr chunk_bytes =
-        migrationChunkBlocks * (blockBytes + 8);
     int chunks_per_page =
         static_cast<int>(pageBytes / blockBytes) /
         migrationChunkBlocks;
     Cycles chunk_gap = serializationCycles(
-        chunk_bytes, std::min({setup.sys.upiGbps,
+        migrationChunkBytes, std::min({setup.sys.upiGbps,
                                setup.sys.numalinkGbps,
                                setup.sys.cxlGbps}));
 
@@ -432,18 +543,16 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
 
         for (int ch = 0; ch < chunks_per_page; ++ch) {
             chunk_time += chunk_gap;
-            bool last = (ch == chunks_per_page - 1);
             q.schedule(chunk_time,
-                       [this, from, to, chunk_bytes, page, last] {
-                           Cycles arr = topo.send(from, to, q.now(),
-                                                  chunk_bytes);
-                           if (last)
-                               migrating[page] = arr;
-                       });
+                       StepEvent{.kind = EventKind::MigrationChunk,
+                                 .flag = ch == chunks_per_page - 1,
+                                 .home = from,
+                                 .owner = to,
+                                 .addr = byte});
         }
         // Conservative availability estimate until the last chunk
-        // lands (replaced by the actual arrival above).
-        migrating[page] =
+        // lands (replaced by the actual arrival, see dispatch()).
+        machine.migrating[machine.slot(page)] =
             chunk_time + topo.unloadedOneWay(from, to);
     }
 }
@@ -464,7 +573,7 @@ PhaseSim::finishMiss(CoreState &c, std::uint64_t instr,
         if (c.detailed)
             ++statDetailedMisses;
     }
-    onComplete(c, instr, done, type, count_stats, issued);
+    onComplete(c, instr);
 }
 
 void
@@ -475,24 +584,23 @@ PhaseSim::startMiss(CoreState &c, Addr vaddr, bool write,
     PageNum page = pageNumber(vaddr);
 
     // Stall while the page's migration is in flight.
-    auto mig = migrating.find(page);
-    if (mig != migrating.end()) {
-        if (mig->second > t) {
-            Cycles resume = mig->second;
-            statMigStall.sample(
-                static_cast<double>((resume - t).value()));
-            q.schedule(resume, [this, &c, vaddr, write, instr,
-                                count_stats, t] {
-                missAfterStall(c, vaddr, write, instr, count_stats,
-                               t);
-            });
-            return;
-        }
-        migrating.erase(mig);
+    Cycles resume = machine.migrating[machine.slot(page)];
+    if (resume > t) {
+        statMigStall.sample(static_cast<double>((resume - t).value()));
+        q.schedule(resume,
+                   StepEvent{.kind = EventKind::MissResume,
+                             .flag = write,
+                             .countStats = count_stats,
+                             .core = static_cast<std::uint32_t>(c.thread),
+                             .instr = instr,
+                             .issued = t,
+                             .addr = vaddr});
+        return;
     }
     missAfterStall(c, vaddr, write, instr, count_stats, t);
 }
 
+// lint: hot-path one call per LLC miss
 void
 PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
                          std::uint64_t instr, bool count_stats,
@@ -509,19 +617,18 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
     // §V-F replication: reads of a replicated page hit the local
     // replica; a write invalidates every replica (broadcast) and
     // de-replicates the page.
-    if (!machine.replicated.empty()) {
-        if (machine.replicated.contains(page)) {
-            if (write) {
-                machine.replicated.erase(page);
-                for (NodeId x = 0; x < setup.sys.sockets; ++x) {
-                    if (x == s)
-                        continue;
-                    topo.send(s, x, t, topology::ctrlBytes);
-                    llcs[x].invalidatePage(pageBase(page));
-                }
-            } else {
-                home = s;
+    std::uint8_t &replicated = machine.replicated[machine.slot(page)];
+    if (replicated) {
+        if (write) {
+            replicated = 0;
+            for (NodeId x = 0; x < setup.sys.sockets; ++x) {
+                if (x == s)
+                    continue;
+                topo.send(s, x, t, topology::ctrlBytes);
+                llcs[x].invalidatePage(pageBase(page));
             }
+        } else {
+            home = s;
         }
     }
 
@@ -532,124 +639,139 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
                 llcs[x].invalidate(block);
     }
 
-    Cycles on_chip = nsToCycles(setup.sys.onChipNs);
-
+    // The request travels to the home (the pool for a 4-hop
+    // transfer); dispatch() walks the rest of its journey.
+    StepEvent ev{.countStats = count_stats,
+                 .home = home,
+                 .core = static_cast<std::uint32_t>(c.thread),
+                 .instr = instr,
+                 .issued = issued,
+                 .addr = block};
     if (coh.blockTransfer && coh.owner != s) {
-        if (coh.viaPool) {
-            // 4-hop R -> H(pool) -> O -> H -> R (Fig 4).
-            NodeId pool = topo.poolNode();
-            NodeId owner = coh.owner;
-            Cycles t1 = topo.send(s, pool, t, topology::ctrlBytes);
-            q.schedule(t1, [this, &c, pool, owner, s, block, instr,
-                            count_stats, issued, on_chip] {
-                Cycles t1m =
-                    mcs[pool].access(q.now() + on_chip, block);
-                q.schedule(t1m, [this, &c, pool, owner, s, instr,
-                                 count_stats, issued] {
-                    Cycles t2 = topo.send(pool, owner, q.now(),
-                                          topology::ctrlBytes);
-                    q.schedule(t2, [this, &c, pool, owner, s, instr,
-                                    count_stats, issued] {
-                        Cycles t3 =
-                            topo.send(owner, pool, q.now(),
-                                      topology::dataBytes);
-                        q.schedule(t3, [this, &c, pool, s, instr,
-                                        count_stats, issued] {
-                            Cycles done =
-                                topo.send(pool, s, q.now(),
-                                          topology::dataBytes);
-                            q.schedule(done, [this, &c, instr,
-                                              count_stats, issued] {
-                                finishMiss(c, instr,
-                                           AccessType::BtPool,
-                                           count_stats, issued,
-                                           q.now());
-                            });
-                        });
-                    });
-                });
-            });
-        } else {
-            // 3-hop R -> H -> O -> R.
-            NodeId owner = coh.owner;
-            Cycles t1 = topo.send(s, home, t, topology::ctrlBytes);
-            q.schedule(t1, [this, &c, home, owner, s, block, instr,
-                            count_stats, issued, on_chip] {
-                Cycles t1m =
-                    mcs[home].access(q.now() + on_chip, block);
-                q.schedule(t1m, [this, &c, home, owner, s, instr,
-                                 count_stats, issued] {
-                    Cycles t2 = topo.send(home, owner, q.now(),
-                                          topology::ctrlBytes);
-                    q.schedule(t2, [this, &c, owner, s, instr,
-                                    count_stats, issued] {
-                        Cycles done =
-                            topo.send(owner, s, q.now(),
-                                      topology::dataBytes);
-                        q.schedule(done, [this, &c, instr,
-                                          count_stats, issued] {
-                            finishMiss(c, instr,
-                                       AccessType::BtSocket,
-                                       count_stats, issued,
-                                       q.now());
-                        });
-                    });
-                });
-            });
+        // 3-hop R -> H -> O -> R, or 4-hop R -> H(pool) -> O -> H
+        // -> R (Fig 4).
+        ev.type = coh.viaPool ? AccessType::BtPool : AccessType::BtSocket;
+        if (coh.viaPool)
+            ev.home = topo.poolNode();
+        ev.owner = coh.owner;
+    } else {
+        switch (topo.classify(s, home)) {
+          case topology::AccessClass::Local:
+            ev.kind = EventKind::Complete;
+            ev.type = AccessType::Local;
+            q.schedule(mcs[s].access(t + onChip, block), ev);
+            return;
+          case topology::AccessClass::OneHop:
+            ev.type = AccessType::OneHop;
+            break;
+          case topology::AccessClass::TwoHop:
+            ev.type = AccessType::TwoHop;
+            break;
+          default:
+            ev.type = AccessType::Pool;
+            break;
         }
-        return;
     }
+    ev.kind = EventKind::AtHome;
+    q.schedule(topo.send(s, ev.home, t, topology::ctrlBytes), ev);
+}
 
-    if (topo.classify(s, home) == topology::AccessClass::Local) {
-        Cycles done = mcs[s].access(t + on_chip, block);
-        q.schedule(done, [this, &c, instr, count_stats, issued] {
-            finishMiss(c, instr, AccessType::Local, count_stats,
-                       issued, q.now());
-        });
-        return;
+void
+PhaseSim::dispatch(const StepEvent &ev)
+{
+    Cycles now = q.now();
+    // A miss's journey: each hop schedules the next with the same
+    // payload and a new kind.
+    StepEvent next = ev;
+    auto hop = [&](EventKind kind, NodeId from, NodeId to,
+                   Addr bytes) {
+        next.kind = kind;
+        q.schedule(topo.send(from, to, now, bytes), next);
+    };
+    switch (ev.kind) {
+      case EventKind::Issue: {
+        CoreState &c = cores[ev.core];
+        c.issuePending = false;
+        issueNext(c);
+        break;
+      }
+      case EventKind::Pace:
+        pace();
+        break;
+      case EventKind::Migrate:
+        applyMigration(now, pageNumber(ev.addr),
+                       static_cast<int>(ev.instr), ev.home, ev.owner);
+        break;
+      case EventKind::MigrationChunk: {
+        Cycles arr =
+            topo.send(ev.home, ev.owner, now, migrationChunkBytes);
+        if (ev.flag)
+            machine.migrating[machine.slot(pageNumber(ev.addr))] = arr;
+        break;
+      }
+      case EventKind::Writeback:
+        mcs[ev.home].access(now, ev.addr);
+        break;
+      case EventKind::MissResume:
+        missAfterStall(cores[ev.core], ev.addr, ev.flag, ev.instr,
+                       ev.countStats, ev.issued);
+        break;
+      case EventKind::AtHome:
+        next.kind = EventKind::HomeRead;
+        q.schedule(mcs[ev.home].access(now + onChip, ev.addr), next);
+        break;
+      case EventKind::HomeRead:
+        if (ev.type == AccessType::BtSocket ||
+            ev.type == AccessType::BtPool)
+            // A block transfer forwards the request to the owner.
+            hop(EventKind::AtOwner, ev.home, ev.owner,
+                topology::ctrlBytes);
+        else
+            hop(EventKind::Complete, ev.home, cores[ev.core].socket,
+                topology::dataBytes);
+        break;
+      case EventKind::AtOwner:
+        // The owner's data goes back directly (3-hop) or through
+        // the pool (4-hop).
+        if (ev.type == AccessType::BtPool)
+            hop(EventKind::AtPool, ev.owner, ev.home,
+                topology::dataBytes);
+        else
+            hop(EventKind::Complete, ev.owner, cores[ev.core].socket,
+                topology::dataBytes);
+        break;
+      case EventKind::AtPool:
+        hop(EventKind::Complete, ev.home, cores[ev.core].socket,
+            topology::dataBytes);
+        break;
+      case EventKind::Complete:
+        finishMiss(cores[ev.core], ev.instr, ev.type, ev.countStats,
+                   ev.issued, now);
+        break;
     }
-
-    AccessType type;
-    switch (topo.classify(s, home)) {
-      case topology::AccessClass::OneHop:
-        type = AccessType::OneHop;
-        break;
-      case topology::AccessClass::TwoHop:
-        type = AccessType::TwoHop;
-        break;
-      default:
-        type = AccessType::Pool;
-        break;
-    }
-    Cycles t1 = topo.send(s, home, t, topology::ctrlBytes);
-    q.schedule(t1, [this, &c, home, s, block, instr, count_stats,
-                    issued, on_chip, type] {
-        Cycles t2 = mcs[home].access(q.now() + on_chip, block);
-        q.schedule(t2, [this, &c, home, s, instr, count_stats,
-                        issued, type] {
-            Cycles done =
-                topo.send(home, s, q.now(), topology::dataBytes);
-            q.schedule(done,
-                       [this, &c, instr, count_stats, issued, type] {
-                           finishMiss(c, instr, type, count_stats,
-                                      issued, q.now());
-                       });
-        });
-    });
 }
 
 // --- core actors ---
+
+void
+PhaseSim::retireCompleted(CoreState &c)
+{
+    while (c.inFlight > 0 && outstanding[inFlightSlot(c, 0)].complete) {
+        c.head = c.head + 1 < core.mshrs ? c.head + 1 : 0;
+        --c.inFlight;
+    }
+}
 
 bool
 PhaseSim::frontBlocks(const CoreState &c,
                       std::uint64_t next_instr) const
 {
-    if (c.pending.empty())
+    if (c.inFlight == 0)
         return false;
-    const Outstanding &front = c.pending.front();
+    const Outstanding &front = outstanding[inFlightSlot(c, 0)];
     if (front.complete)
         return false;
-    if (c.pending.size() >= static_cast<std::size_t>(core.mshrs))
+    if (c.inFlight >= core.mshrs)
         return true;
     if (c.detailed &&
         front.instr + static_cast<std::uint64_t>(core.robEntries) <=
@@ -664,23 +786,21 @@ PhaseSim::scheduleIssue(CoreState &c, Cycles when)
     if (c.issuePending || c.done)
         return;
     c.issuePending = true;
-    q.schedule(std::max(when, q.now()), [this, &c] {
-        c.issuePending = false;
-        issueNext(c);
-    });
+    q.schedule(std::max(when, q.now()),
+               StepEvent{.kind = EventKind::Issue,
+                         .core = static_cast<std::uint32_t>(c.thread)});
 }
 
+// lint: hot-path one call per replayed step-C record
 void
 PhaseSim::issueNext(CoreState &c)
 {
     if (c.done)
         return;
-    // Retire completed misses off the front.
-    while (!c.pending.empty() && c.pending.front().complete)
-        c.pending.pop_front();
+    retireCompleted(c);
 
     if (c.idx >= c.end) {
-        if (c.pending.empty())
+        if (c.inFlight == 0)
             finishCore(c);
         else
             c.blocked = true; // resume on completion
@@ -710,10 +830,16 @@ PhaseSim::issueNext(CoreState &c)
     ++c.idx;
     std::uint64_t this_instr = r.instr;
 
-    // Compute-pace the next issue.
-    std::uint64_t next_instr =
-        c.idx < c.end ? trace.perThread[c.thread][c.idx].instr
-                      : windowEnd;
+    // Compute-pace the next issue. Its LLC set (and, should it
+    // miss, its directory entry) is needed when that issue fires,
+    // many events from now: start loading both.
+    std::uint64_t next_instr = windowEnd;
+    if (c.idx < c.end) {
+        const trace::MemRecord &next = trace.perThread[c.thread][c.idx];
+        next_instr = next.instr;
+        llcs[s].prefetch(next.vaddr());
+        directory.prefetch(blockAddr(next.vaddr()));
+    }
     std::uint64_t gap =
         next_instr > this_instr ? next_instr - this_instr : 1;
     double cpi = c.detailed ? core.baseCpi : lightCpi;
@@ -743,10 +869,9 @@ PhaseSim::issueNext(CoreState &c)
             } else if (vh != mem::invalidNode) {
                 Cycles arr =
                     topo.send(s, vh, t, topology::dataBytes);
-                Addr victim = look.victim;
-                q.schedule(arr, [this, vh, victim] {
-                    mcs[vh].access(q.now(), victim);
-                });
+                q.schedule(arr, StepEvent{.kind = EventKind::Writeback,
+                                          .home = vh,
+                                          .addr = look.victim});
             }
         }
     }
@@ -754,24 +879,25 @@ PhaseSim::issueNext(CoreState &c)
     if (setup.sys.hasPool && (missCount % metadataWritePeriod) == 0)
         mcs[s].access(t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
 
-    c.pending.push_back({this_instr, Cycles(), false});
+    sn_assert(c.inFlight < core.mshrs, "core %d over its MSHRs",
+              c.thread);
+    outstanding[inFlightSlot(c, c.inFlight++)] = {this_instr, false};
     startMiss(c, r.vaddr(), r.isWrite(), this_instr, count_stats);
     scheduleIssue(c, c.readyTime);
 }
 
 void
-PhaseSim::onComplete(CoreState &c, std::uint64_t instr, Cycles done,
-                     AccessType, bool, Cycles)
+PhaseSim::onComplete(CoreState &c, std::uint64_t instr)
 {
-    for (auto &o : c.pending) {
+    // The oldest matching in-flight miss completes.
+    for (int i = 0; i < c.inFlight; ++i) {
+        Outstanding &o = outstanding[inFlightSlot(c, i)];
         if (!o.complete && o.instr == instr) {
             o.complete = true;
-            o.done = done;
             break;
         }
     }
-    while (!c.pending.empty() && c.pending.front().complete)
-        c.pending.pop_front();
+    retireCompleted(c);
     if (c.blocked) {
         c.blocked = false;
         scheduleIssue(c, std::max(q.now(), c.readyTime));
@@ -782,7 +908,7 @@ void
 PhaseSim::finishCore(CoreState &c)
 {
     Cycles t = std::max(q.now(), c.readyTime);
-    c.pending.clear();
+    c.inFlight = 0;
     if (c.lastInstr < windowEnd) {
         t += Cycles(static_cast<double>(windowEnd - c.lastInstr) *
                     (c.detailed ? core.baseCpi : lightCpi));
@@ -819,11 +945,11 @@ PhaseSim::pace()
     // One sampling point feeds both telemetry channels (DESIGN.md
     // §14): the deterministic series, and the trace counters that
     // re-emit from it.
-    const bool tracing = obs::TraceSession::global().enabled();
-    if (tracing || obs::TimeSeriesSink::global().enabled())
+    if (sampling)
         sampleEpoch(tracing);
     if (!stop)
-        q.scheduleAfter(pacerPeriod, [this] { pace(); });
+        q.schedule(now + pacerPeriod,
+                   StepEvent{.kind = EventKind::Pace});
 }
 
 // lint: cold-path pacer-epoch telemetry; only invoked when a trace
@@ -898,7 +1024,8 @@ PhaseSim::allDetailedDone() const
     return true;
 }
 
-void
+// lint: hot-path the step-C event loop
+STARNUMA_AUDITED_SYMBOL void
 PhaseSim::run()
 {
     for (CoreState &c : cores) {
@@ -915,14 +1042,16 @@ PhaseSim::run()
             static_cast<double>(r.instr - windowStart) * cpi);
         scheduleIssue(c, c.readyTime);
     }
-    q.scheduleAfter(Cycles(2000), [this] { pace(); });
+    q.schedule(q.now() + Cycles(2000),
+               StepEvent{.kind = EventKind::Pace});
 
     stop = allDetailedDone();
     // Hard ceiling to bound runaway phases.
     Cycles limit(static_cast<double>(scale.detailInstructions()) *
                  2000.0);
-    while (!stop && !q.empty() && q.now() < limit)
-        q.step();
+    StepEvent ev;
+    while (!stop && q.now() < limit && q.pop(ev))
+        dispatch(ev);
 
     for (CoreState &c : cores) {
         if (!c.detailed)
@@ -982,6 +1111,10 @@ PhaseSim::registerStats(obs::Registry &r) const
     r.addCounter("coherenceTransactions", &statCoherence0);
     r.addCounterFn("horizonCycles",
                    [this] { return endCycle.value(); });
+    r.addCounterFn("events", [this] { return q.executed(); });
+    r.addCounterFn("peakQueueDepth", [this] {
+        return static_cast<std::uint64_t>(q.peakPending());
+    });
     r.addMean("latencyCycles", &statLatency);
     r.addMean("migrationStallCycles", &statMigStall);
     for (int i = 0; i < accessTypes; ++i) {
@@ -1024,9 +1157,8 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         std::vector<std::unique_ptr<PhaseSim>> sims;
         for (int phase = 0; phase < scale.phases; ++phase) {
             machines.push_back(std::make_unique<MachineState>(
-                setup, scale, core, page_span));
-            machines.back()->replicated =
-                placement.replication.replicated;
+                setup, scale, core, page_span,
+                placement.replication.replicated));
             sims.push_back(std::make_unique<PhaseSim>(
                 setup, scale, options, core, trace,
                 placement.checkpoints[phase], phase,
@@ -1062,9 +1194,8 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         last_machine = std::move(machines.back());
     } else {
         shared_machine = std::make_unique<MachineState>(
-            setup, scale, core, page_span);
-        shared_machine->replicated =
-            placement.replication.replicated;
+            setup, scale, core, page_span,
+            placement.replication.replicated);
         const bool collect = obs::StatsSink::global().enabled();
         const bool collect_ts =
             obs::TimeSeriesSink::global().enabled();

@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/obs/registry.hh"
 
@@ -26,13 +29,16 @@ Cache::Cache(const CacheConfig &config)
     : ways(config.ways), useClock(0), hits_(0), misses_(0),
       evictions_(0)
 {
-    sn_assert(config.ways > 0 && config.sizeBytes >= blockBytes,
+    sn_assert(config.ways > 0 && config.ways <= 64 &&
+                  config.sizeBytes >= blockBytes,
               "bad cache geometry");
     numSets = toPowerOfTwo(
         config.sizeBytes / (blockBytes * config.ways));
     if (numSets == 0)
         numSets = 1;
-    sets_.assign(numSets * ways, Line{});
+    tags.assign(numSets * ways, emptyTag);
+    lastUse.assign(numSets * ways, 0);
+    bits.assign(numSets, SetBits{});
 }
 
 std::size_t
@@ -41,42 +47,60 @@ Cache::setIndex(Addr block) const
     return (block / blockBytes) & (numSets - 1);
 }
 
+int
+Cache::find(std::size_t set, Addr block) const
+{
+    const Addr *tag = &tags[set * ways];
+    for (int w = 0; w < ways; ++w)
+        if (tag[w] == block)
+            return w;
+    return -1;
+}
+
 CacheAccess
 Cache::access(Addr addr, bool write)
 {
     Addr block = blockAddr(addr);
-    Line *set = &sets_[setIndex(block) * ways];
+    std::size_t set = setIndex(block);
+    std::size_t base = set * ways;
+    SetBits &b = bits[set];
     ++useClock;
 
     CacheAccess result;
-    Line *lru = &set[0];
-    for (int w = 0; w < ways; ++w) {
-        Line &line = set[w];
-        if (line.valid && line.tag == block) {
-            line.lastUse = useClock;
-            line.dirty |= write;
-            ++hits_;
-            result.hit = true;
-            return result;
-        }
-        if (!line.valid) {
-            lru = &line;
-        } else if (lru->valid && line.lastUse < lru->lastUse) {
-            lru = &line;
-        }
+    int way = find(set, block);
+    if (way >= 0) {
+        lastUse[base + way] = useClock;
+        b.dirty |= std::uint64_t(write) << way;
+        ++hits_;
+        result.hit = true;
+        return result;
     }
 
     ++misses_;
-    if (lru->valid) {
+    std::uint64_t all =
+        ways == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << ways) - 1;
+    std::uint64_t invalid = ~b.valid & all;
+    if (invalid) {
+        way = 63 - std::countl_zero(invalid);
+    } else {
+        const std::uint64_t *stamp = &lastUse[base];
+        std::uint64_t oldest = stamp[0];
+        way = 0;
+        for (int w = 1; w < ways; ++w) {
+            bool older = stamp[w] < oldest;
+            oldest = older ? stamp[w] : oldest;
+            way = older ? w : way;
+        }
         ++evictions_;
         result.evicted = true;
-        result.victim = lru->tag;
-        result.victimDirty = lru->dirty;
+        result.victim = tags[base + way];
+        result.victimDirty = (b.dirty >> way) & 1;
     }
-    lru->valid = true;
-    lru->tag = block;
-    lru->dirty = write;
-    lru->lastUse = useClock;
+    std::uint64_t bit = std::uint64_t(1) << way;
+    tags[base + way] = block;
+    lastUse[base + way] = useClock;
+    b.valid |= bit;
+    b.dirty = (b.dirty & ~bit) | (std::uint64_t(write) << way);
     return result;
 }
 
@@ -84,26 +108,22 @@ bool
 Cache::contains(Addr addr) const
 {
     Addr block = blockAddr(addr);
-    const Line *set = &sets_[setIndex(block) * ways];
-    for (int w = 0; w < ways; ++w)
-        if (set[w].valid && set[w].tag == block)
-            return true;
-    return false;
+    return find(setIndex(block), block) >= 0;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
     Addr block = blockAddr(addr);
-    Line *set = &sets_[setIndex(block) * ways];
-    for (int w = 0; w < ways; ++w) {
-        if (set[w].valid && set[w].tag == block) {
-            set[w].valid = false;
-            set[w].dirty = false;
-            return true;
-        }
-    }
-    return false;
+    std::size_t set = setIndex(block);
+    int way = find(set, block);
+    if (way < 0)
+        return false;
+    tags[set * ways + way] = emptyTag;
+    std::uint64_t keep = ~(std::uint64_t(1) << way);
+    bits[set].valid &= keep;
+    bits[set].dirty &= keep;
+    return true;
 }
 
 int
@@ -120,8 +140,9 @@ Cache::invalidatePage(Addr addr)
 void
 Cache::reset()
 {
-    for (Line &line : sets_)
-        line = Line{};
+    std::fill(tags.begin(), tags.end(), emptyTag);
+    std::fill(lastUse.begin(), lastUse.end(), 0);
+    std::fill(bits.begin(), bits.end(), SetBits{});
     useClock = 0;
     hits_ = 0;
     misses_ = 0;

@@ -44,7 +44,15 @@ struct CacheAccess
     bool victimDirty = false;  ///< victim needs writeback
 };
 
-/** Tag-only set-associative cache model (no data storage). */
+/**
+ * Tag-only set-associative cache model (no data storage), laid out
+ * as structure-of-arrays: per set, a contiguous run of tags (an
+ * empty way holds a tag no block address can equal, so a lookup
+ * compares tags only), a parallel run of 64-bit last-use stamps, and
+ * valid/dirty bitmasks. A hit is one tag scan plus one stamp store.
+ * The victim on a miss is the highest-index invalid way, else the
+ * valid way with the smallest stamp (exact LRU).
+ */
 class Cache
 {
   public:
@@ -55,6 +63,20 @@ class Cache
      * @param write marks the block dirty.
      */
     CacheAccess access(Addr addr, bool write);
+
+    /**
+     * Hint that @p addr will be looked up soon: start loading its
+     * set's tags and stamps into the host cache. Changes no state.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        std::size_t base = setIndex(blockAddr(addr)) * ways;
+        __builtin_prefetch(&tags[base]);
+        __builtin_prefetch(&tags[base + ways - 1]);
+        __builtin_prefetch(&lastUse[base]);
+        __builtin_prefetch(&lastUse[base + ways - 1]);
+    }
 
     /** True if the block containing @p addr is present. */
     bool contains(Addr addr) const;
@@ -86,7 +108,7 @@ class Cache
                      : 0.0;
     }
 
-    std::size_t sets() const { return sets_.size() / ways; }
+    std::size_t sets() const { return numSets; }
     int associativity() const { return ways; }
 
     /** Register hit/miss/eviction counters and the hit rate. */
@@ -94,18 +116,26 @@ class Cache
                        const std::string &prefix) const;
 
   private:
-    struct Line
+    /** Tag of an empty way: not block-aligned, so never a block. */
+    static constexpr Addr emptyTag = ~Addr(0);
+
+    /** Way-indexed state bits of one set (bit w is way w). */
+    struct SetBits
     {
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
     };
 
     std::size_t setIndex(Addr block) const;
 
-    // Lines stored set-major: set s occupies [s*ways, (s+1)*ways).
-    std::vector<Line> sets_;
+    /** Way of @p block in set @p set, or -1 when absent. */
+    int find(std::size_t set, Addr block) const;
+
+    // Ways stored set-major: set s owns [s*ways, (s+1)*ways) of
+    // tags and lastUse.
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> lastUse;
+    std::vector<SetBits> bits;
     int ways;
     std::size_t numSets;
     std::uint64_t useClock;

@@ -74,6 +74,9 @@ class Directory
      */
     void evict(Addr block, NodeId socket);
 
+    /** Hint that @p block's entry will be looked up soon. */
+    void prefetch(Addr block) const { entries.prefetch(block); }
+
     /** True if any socket caches @p block. */
     bool cached(Addr block) const;
 

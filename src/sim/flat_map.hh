@@ -221,6 +221,17 @@ class FlatMap
                    : const_iterator(this, index_[slot] - 1);
     }
 
+    /**
+     * Hint that @p key will be probed soon: start loading its index
+     * bucket into the host cache. Changes nothing.
+     */
+    void
+    prefetch(const Key &key) const
+    {
+        if (!index_.empty())
+            __builtin_prefetch(&index_[bucketOf(key)]);
+    }
+
     // lint: hot-path one probe per replayed trace record
     bool contains(const Key &key) const
     {

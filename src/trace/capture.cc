@@ -35,6 +35,7 @@ CaptureContext::access(ThreadId t, Addr vaddr, bool write)
     if (inSetup) {
         // Setup accesses are untimed; writes seed first touch.
         if (write && touched.try_emplace(page, t).second)
+            // lint: cold-path untimed setup, once per first-touched page
             firstTouches.push_back({page, t});
         return;
     }
@@ -43,6 +44,8 @@ CaptureContext::access(ThreadId t, Addr vaddr, bool write)
     if (write)
         written.insert(page);
     if (!ts.filter.access(vaddr, write).hit)
+        // lint: cold-path amortized growth of the captured trace,
+        // the output step A exists to produce
         ts.records.emplace_back(ts.instructions, vaddr, write);
 }
 

@@ -59,13 +59,15 @@ TEST(LinkStats, UnloadedArrivalDoesNotMutate)
 
 TEST(EventQueueAccessors, PendingAndEmpty)
 {
-    EventQueue q;
+    EventQueue<int> q;
     EXPECT_TRUE(q.empty());
-    q.schedule(Cycles(5), [] {});
-    q.schedule(Cycles(9), [] {});
+    q.schedule(Cycles(5), 0);
+    q.schedule(Cycles(9), 1);
     EXPECT_EQ(q.pending(), 2u);
     EXPECT_FALSE(q.empty());
-    q.run();
+    int ev;
+    while (q.pop(ev)) {
+    }
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.now(), Cycles(9));
 }
@@ -104,10 +106,11 @@ TEST(CoverageDeathTest, TableRowWidthMismatchPanics)
 
 TEST(CoverageDeathTest, EventQueueSchedulingIntoPastPanics)
 {
-    EventQueue q;
-    q.schedule(Cycles(100), [] {});
-    q.run();
-    EXPECT_DEATH(q.schedule(Cycles(50), [] {}), "assertion");
+    EventQueue<int> q;
+    q.schedule(Cycles(100), 0);
+    int ev;
+    q.pop(ev);
+    EXPECT_DEATH(q.schedule(Cycles(50), 1), "assertion");
 }
 
 TEST(CoverageDeathTest, RouteOutOfRangePanics)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "mem/directory.hh"
 #include "mem/dram.hh"
 #include "mem/page_map.hh"
+#include "sim/rng.hh"
 
 namespace starnuma
 {
@@ -131,6 +133,189 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<Addr, int>{32768, 8},
                       std::pair<Addr, int>{1 << 20, 16},
                       std::pair<Addr, int>{8 << 20, 16}));
+
+// --- Cache vs. the array-of-lines LRU model it replaced ---
+
+/**
+ * Reference model: the cache as it was before the structure-of-arrays
+ * layout, one 24-byte line (tag, 64-bit last use, valid, dirty) per
+ * way, scanned in way order. Its victim rule is the contract the
+ * compact layout must keep: the highest-index invalid way, else the
+ * valid way with the smallest last use.
+ */
+class LineLruCache
+{
+  public:
+    explicit LineLruCache(const CacheConfig &config) : ways(config.ways)
+    {
+        numSets = 1;
+        while (numSets < config.sizeBytes / (blockBytes * ways))
+            numSets <<= 1;
+        lines.assign(numSets * ways, Line{});
+    }
+
+    CacheAccess
+    access(Addr addr, bool write)
+    {
+        Addr block = blockAddr(addr);
+        Line *set = setOf(block);
+        ++useClock;
+        CacheAccess result;
+        Line *lru = &set[0];
+        for (int w = 0; w < ways; ++w) {
+            Line &line = set[w];
+            if (line.valid && line.tag == block) {
+                line.lastUse = useClock;
+                line.dirty |= write;
+                ++hits;
+                result.hit = true;
+                return result;
+            }
+            if (!line.valid)
+                lru = &line;
+            else if (lru->valid && line.lastUse < lru->lastUse)
+                lru = &line;
+        }
+        ++misses;
+        if (lru->valid) {
+            ++evictions;
+            result.evicted = true;
+            result.victim = lru->tag;
+            result.victimDirty = lru->dirty;
+        }
+        *lru = Line{block, useClock, true, write};
+        return result;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Addr block = blockAddr(addr);
+        Line *set = setOf(block);
+        for (int w = 0; w < ways; ++w) {
+            if (set[w].valid && set[w].tag == block) {
+                set[w].valid = false;
+                set[w].dirty = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    int
+    invalidatePage(Addr addr)
+    {
+        int dropped = 0;
+        for (Addr b = pageAddr(addr); b < pageAddr(addr) + pageBytes;
+             b += blockBytes)
+            dropped += invalidate(b);
+        return dropped;
+    }
+
+    void
+    reset()
+    {
+        lines.assign(lines.size(), Line{});
+        useClock = hits = misses = evictions = 0;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Line *
+    setOf(Addr block)
+    {
+        return &lines[((block / blockBytes) & (numSets - 1)) * ways];
+    }
+
+    int ways;
+    std::size_t numSets;
+    std::vector<Line> lines;
+    std::uint64_t useClock = 0;
+};
+
+struct DifferentialCase
+{
+    const char *name;
+    CacheConfig config;
+    int seed;
+};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<DifferentialCase>
+{
+};
+
+/**
+ * Random access/write/invalidate/invalidatePage/reset streams give
+ * the same hit, victim and dirty-victim on every access, and the
+ * same counters at the end, as the reference model (three resets
+ * split the stream into four). Addresses cover
+ * four times the capacity, mostly in page-local runs, so sets fill,
+ * evict, and mix valid with invalidated ways.
+ */
+TEST_P(CacheDifferential, MatchesArrayOfLinesLru)
+{
+    const DifferentialCase &tc = GetParam();
+    Cache cache(tc.config);
+    LineLruCache ref(tc.config);
+    Rng rng(static_cast<std::uint64_t>(tc.seed));
+    const std::uint32_t span =
+        static_cast<std::uint32_t>(tc.config.sizeBytes * 4);
+    Addr addr = 0;
+    for (int i = 0; i < 300000; ++i) {
+        if (rng.chance(0.2))
+            addr = rng.range32(span);
+        else
+            addr = pageAddr(addr) + rng.range32(pageBytes);
+        std::uint32_t op = rng.range32(1000);
+        if (op < 20) {
+            EXPECT_EQ(cache.invalidate(addr), ref.invalidate(addr))
+                << "op " << i;
+        } else if (op < 22) {
+            EXPECT_EQ(cache.invalidatePage(addr),
+                      ref.invalidatePage(addr))
+                << "op " << i;
+        } else if (i % 100000 == 50000) {
+            cache.reset();
+            ref.reset();
+        } else {
+            bool write = rng.chance(0.3);
+            CacheAccess got = cache.access(addr, write);
+            CacheAccess want = ref.access(addr, write);
+            ASSERT_EQ(got.hit, want.hit) << "op " << i;
+            ASSERT_EQ(got.evicted, want.evicted) << "op " << i;
+            ASSERT_EQ(got.victim, want.victim) << "op " << i;
+            ASSERT_EQ(got.victimDirty, want.victimDirty) << "op " << i;
+        }
+    }
+    EXPECT_EQ(cache.hits(), ref.hits);
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.evictions(), ref.evictions);
+    EXPECT_GT(cache.evictions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(
+        // The capture-time L1+L2 filter.
+        DifferentialCase{"filter256k8w", {256 * 1024, 8}, 1},
+        // A step-C socket LLC.
+        DifferentialCase{"llc2m16w", {2 * 1024 * 1024, 16}, 2},
+        DifferentialCase{"tiny2w", {1024, 2}, 3}),
+    [](const ::testing::TestParamInfo<DifferentialCase> &param) {
+        return std::string(param.param.name);
+    });
 
 // --- DRAM ---
 

@@ -198,6 +198,54 @@ TEST(ObsSink, StatsArtifactByteIdenticalAcrossPoolSizes)
     ThreadPool::setGlobalThreads(0);
 }
 
+/**
+ * The step-C work counters (`timing.phaseNN.events` and
+ * `timing.phaseNN.peakQueueDepth`) are simulator work, not host
+ * work: present for every phase, nonzero, and the same whether the
+ * phases run on one worker or four.
+ */
+TEST(ObsSink, TimingWorkCountersIdenticalAcrossPoolSizes)
+{
+    SimScale s = SimScale::tiny();
+    driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    obs::StatsSink &sink = obs::StatsSink::global();
+
+    auto counters = [&](int pool_size) {
+        ThreadPool::setGlobalThreads(pool_size);
+        sink.start("");
+        driver::runExperiment("tc", setup, s);
+        obs::Snapshot snap = sink.collect();
+        sink.stop();
+        std::vector<std::string> out;
+        for (const auto &[key, value] : snap.values())
+            if (key.find(".events") != std::string::npos ||
+                key.find(".peakQueueDepth") != std::string::npos)
+                out.push_back(key + "=" + value);
+        return out;
+    };
+
+    std::vector<std::string> serial = counters(1);
+    ASSERT_EQ(serial.size(), 2u * static_cast<std::size_t>(s.phases));
+    for (int phase = 0; phase < s.phases; ++phase) {
+        std::string prefix = "tc." + setup.name + ".timing.phase0" +
+                             std::to_string(phase) + ".";
+        for (const char *name : {"events", "peakQueueDepth"}) {
+            std::string key = prefix + name + "=";
+            bool found = false;
+            for (const std::string &kv : serial) {
+                if (kv.rfind(key, 0) != 0)
+                    continue;
+                found = true;
+                EXPECT_GT(std::stoull(kv.substr(key.size())), 0u)
+                    << kv;
+            }
+            EXPECT_TRUE(found) << key;
+        }
+    }
+    EXPECT_EQ(counters(4), serial);
+    ThreadPool::setGlobalThreads(0);
+}
+
 TEST(ObsSink, CsvExportMatchesJsonContent)
 {
     obs::StatsSink &sink = obs::StatsSink::global();

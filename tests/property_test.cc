@@ -31,6 +31,12 @@ namespace
 
 // --- EventQueue: random schedules execute in nondecreasing time ---
 
+/** Event record of the queue properties: the schedule() call index. */
+struct OrderEvent
+{
+    std::uint32_t id;
+};
+
 class EventQueueOrder : public ::testing::TestWithParam<int>
 {
 };
@@ -38,23 +44,62 @@ class EventQueueOrder : public ::testing::TestWithParam<int>
 TEST_P(EventQueueOrder, RandomScheduleExecutesInTimeOrder)
 {
     Rng rng(GetParam());
-    EventQueue q;
+    EventQueue<OrderEvent> q;
     std::vector<Cycles> seen;
     // Seed events; some events schedule more events.
-    for (int i = 0; i < 200; ++i) {
-        Cycles when(rng.range32(10000));
-        q.schedule(when, [&q, &seen, &rng] {
-            seen.push_back(q.now());
-            if (rng.chance(0.3))
-                q.scheduleAfter(Cycles(1 + rng.range32(100)),
-                                [&q, &seen] {
-                                    seen.push_back(q.now());
-                                });
-        });
+    for (std::uint32_t i = 0; i < 200; ++i)
+        q.schedule(Cycles(rng.range32(10000)), {i});
+    OrderEvent ev;
+    while (q.pop(ev)) {
+        seen.push_back(q.now());
+        if (ev.id < 200 && rng.chance(0.3))
+            q.schedule(q.now() + Cycles(1 + rng.range32(100)), {200});
     }
-    q.run();
     EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
     EXPECT_GE(seen.size(), 200u);
+}
+
+/**
+ * Differential check of the slab + 4-ary heap against the order it
+ * must reproduce: a stable sort of every scheduled event by cycle,
+ * i.e. (when, insertion order). Cycles are drawn from a narrow range
+ * so ties are common, handlers schedule follow-ups at the current
+ * cycle and later, and the queue starts with one slot so the slab
+ * grows mid-run. The pending depth passes the ~330 events of a
+ * default-scale phase.
+ */
+TEST_P(EventQueueOrder, DispatchMatchesStableSortByTimeThenInsertion)
+{
+    Rng rng(GetParam());
+    EventQueue<OrderEvent> q(1);
+    std::vector<std::uint64_t> when; // per schedule() call
+    auto schedule = [&](Cycles t) {
+        q.schedule(t, {static_cast<std::uint32_t>(when.size())});
+        when.push_back(t.value());
+    };
+    for (int i = 0; i < 600; ++i)
+        schedule(Cycles(rng.range32(64)));
+    std::vector<std::uint32_t> dispatched;
+    OrderEvent ev;
+    while (q.pop(ev)) {
+        dispatched.push_back(ev.id);
+        EXPECT_EQ(q.now().value(), when[ev.id]);
+        if (when.size() < 4000) {
+            if (rng.chance(0.4))
+                schedule(q.now());
+            if (rng.chance(0.4))
+                schedule(q.now() + Cycles(rng.range32(8)));
+        }
+    }
+    std::vector<std::uint32_t> expected(when.size());
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return when[a] < when[b];
+                     });
+    EXPECT_EQ(dispatched, expected);
+    EXPECT_EQ(q.executed(), when.size());
+    EXPECT_GE(q.peakPending(), 600u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrder,

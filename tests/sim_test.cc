@@ -53,72 +53,112 @@ TEST(Types, AddressHelpers)
     EXPECT_EQ(blockAddr(0x1000), 0x1000u);
 }
 
+/** Event record of the queue tests: a tag naming the event. */
+struct TestEvent
+{
+    int tag;
+};
+
+/** Pop every pending event, appending its tag to @p order. */
+void
+drain(EventQueue<TestEvent> &q, std::vector<int> &order)
+{
+    TestEvent ev;
+    while (q.pop(ev))
+        order.push_back(ev.tag);
+}
+
 TEST(EventQueue, RunsInTimeOrder)
 {
-    EventQueue q;
+    EventQueue<TestEvent> q;
     std::vector<int> order;
-    q.schedule(Cycles(30), [&] { order.push_back(3); });
-    q.schedule(Cycles(10), [&] { order.push_back(1); });
-    q.schedule(Cycles(20), [&] { order.push_back(2); });
-    q.run();
+    q.schedule(Cycles(30), {3});
+    q.schedule(Cycles(10), {1});
+    q.schedule(Cycles(20), {2});
+    drain(q, order);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.executed(), 3u);
+    EXPECT_EQ(q.now(), Cycles(30));
 }
 
 TEST(EventQueue, SameCycleEventsAreFifo)
 {
-    EventQueue q;
+    EventQueue<TestEvent> q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        q.schedule(Cycles(5), [&order, i] { order.push_back(i); });
-    q.run();
+        q.schedule(Cycles(5), {i});
+    drain(q, order);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, CallbackMaySchedule)
 {
-    EventQueue q;
-    int fired = 0;
-    q.schedule(Cycles(1), [&] {
-        ++fired;
-        q.scheduleAfter(Cycles(4), [&] { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 2);
+    // A handler (the code that runs a popped event) may schedule
+    // more events, also at the current cycle.
+    EventQueue<TestEvent> q;
+    std::vector<int> order;
+    q.schedule(Cycles(1), {0});
+    q.schedule(Cycles(1), {1});
+    TestEvent ev;
+    while (q.pop(ev)) {
+        order.push_back(ev.tag);
+        if (ev.tag == 0) {
+            q.schedule(q.now() + Cycles(4), {3});
+            q.schedule(q.now(), {2});
+        }
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
     EXPECT_EQ(q.now(), Cycles(5));
-}
-
-TEST(EventQueue, RunRespectsLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(Cycles(10), [&] { ++fired; });
-    q.schedule(Cycles(100), [&] { ++fired; });
-    EXPECT_EQ(q.run(Cycles(50)), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, EmptyRunAdvancesToLimit)
-{
-    EventQueue q;
-    q.run(Cycles(1000));
-    EXPECT_EQ(q.now(), Cycles(1000));
 }
 
 TEST(EventQueue, StepExecutesOne)
 {
-    EventQueue q;
-    int fired = 0;
-    q.schedule(Cycles(1), [&] { ++fired; });
-    q.schedule(Cycles(2), [&] { ++fired; });
-    EXPECT_TRUE(q.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.step());
-    EXPECT_FALSE(q.step());
+    EventQueue<TestEvent> q;
+    q.schedule(Cycles(1), {1});
+    q.schedule(Cycles(2), {2});
+    TestEvent ev{0};
+    EXPECT_TRUE(q.pop(ev));
+    EXPECT_EQ(ev.tag, 1);
+    EXPECT_EQ(q.now(), Cycles(1));
+    EXPECT_TRUE(q.pop(ev));
+    EXPECT_EQ(ev.tag, 2);
+    EXPECT_FALSE(q.pop(ev));
+    EXPECT_EQ(ev.tag, 2); // an empty pop leaves the output alone
+    EXPECT_EQ(q.now(), Cycles(2));
+}
+
+TEST(EventQueue, GrowsPastPreallocatedSlots)
+{
+    // One preallocated slot; 1000 pending events force the slab to
+    // double repeatedly while earlier records stay intact.
+    EventQueue<TestEvent> q(1);
+    for (int i = 0; i < 1000; ++i)
+        q.schedule(Cycles(1000 - i), {i});
+    EXPECT_EQ(q.pending(), 1000u);
+    std::vector<int> order;
+    drain(q, order);
+    ASSERT_EQ(order.size(), 1000u);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(order[i], 999 - i);
+}
+
+TEST(EventQueue, PeakPendingIsTheDeepestPoint)
+{
+    EventQueue<TestEvent> q;
+    TestEvent ev;
+    for (int i = 0; i < 5; ++i)
+        q.schedule(Cycles(i), {i});
+    q.pop(ev);
+    q.pop(ev);
+    for (int i = 0; i < 3; ++i)
+        q.schedule(Cycles(10), {i});
+    EXPECT_EQ(q.pending(), 6u);
+    EXPECT_EQ(q.peakPending(), 6u);
+    std::vector<int> order;
+    drain(q, order);
+    EXPECT_EQ(q.peakPending(), 6u);
+    EXPECT_EQ(q.executed(), 8u);
 }
 
 TEST(Rng, Deterministic)
