@@ -76,6 +76,8 @@ MANIFEST = [
     r"starnuma::core::RegionTracker::record\(",
     r"starnuma::core::PageAccessStats::record\(",
     r"starnuma::mem::PageMap::touch\(",
+    r"starnuma::mem::Directory::access\(",
+    r"starnuma::mem::Directory::evict\(",
     r"starnuma::driver::\(anonymous namespace\)::PhaseSim::run\(",
     r"starnuma::driver::\(anonymous namespace\)::PhaseSim::issueNext\(",
     r"starnuma::driver::\(anonymous namespace\)::PhaseSim::"

@@ -20,14 +20,14 @@ D9  Hot-path discipline. Functions annotated ``// lint: hot-path``
 
     The call graph is name-based and over-approximate: a call
     resolves to every indexed definition of that simple name
-    (qualified calls ``X::f`` prefer definitions of class X).
-    Virtual calls therefore resolve to all same-name overriders.
+    (qualified calls ``X::f`` prefer definitions of class X; member
+    calls on a receiver declared ``Cls obj`` or, for ``obj[i].f(``,
+    ``std::vector<Cls> obj`` prefer definitions of Cls). Virtual
+    calls therefore resolve to all same-name overriders.
     Known blind spots — documented in DESIGN.md §13 and backstopped
     by scripts/check_hotpath_syms.sh at the binary level: calls
-    through function pointers, operator-overload call sites (the
-    FlatMap/FlatSet operators are themselves annotated roots for
-    exactly this reason), and std:: methods that share a name with
-    an indexed function.
+    through function pointers, operator-overload call sites, and
+    std:: methods that share a name with an indexed function.
 
 D10 Decoder bounds discipline. In ``src/trace/`` and the
     checkpoint/trace decode paths of ``src/driver/trace_sim.cc``,
@@ -82,9 +82,9 @@ ALLOC_FUNCS = frozenset((
     "posix_memalign",
 ))
 # Growing std:: container methods. Flagged only when the callee name
-# does NOT resolve to an indexed definition: FlatMap/FlatSet define
-# try_emplace/insert/emplace/erase/reserve themselves, and those
-# resolve and are traversed (their own bodies are checked) instead.
+# does NOT resolve to an indexed definition: a project class that
+# defines a method of the same name is traversed (its own body is
+# checked) instead.
 ALLOC_METHODS = frozenset((
     "push_back", "emplace_back", "resize", "reserve", "assign",
     "append", "insert", "emplace", "try_emplace", "insert_or_assign",
@@ -198,11 +198,7 @@ def scan_hot_function(sf, f, graph, findings, seen_violations):
             elif t in ALLOC_FUNCS:
                 violation(line, "allocates ('%s')" % t)
             else:
-                qual = None
-                if prv == "::" and j >= 2 and \
-                        core.is_ident(toks[j - 2].text):
-                    qual = toks[j - 2].text
-                targets = graph.resolve(t, qual)
+                targets = graph.resolve(t, *core.call_context(toks, j))
                 if targets:
                     if not line_annotated(sf, line,
                                           COLD_ANNOTATION):

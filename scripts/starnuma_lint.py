@@ -9,11 +9,7 @@ D1  Range-for over an ``unordered_map``/``unordered_set`` in a
     ``// lint: order-independent`` annotation on the loop line or the
     line directly above. Hash iteration order is not part of the
     simulator's contract; any loop whose effect depends on it is a
-    determinism bug. ``FlatMap``/``FlatSet`` (sim/flat_map.hh)
-    iterate in insertion order and are order-deterministic: a name
-    declared flat in the same file is exempt — unless the same file
-    also declares it unordered, in which case the lint stays
-    conservative and flags the loop.
+    determinism bug.
 D2  Banned nondeterminism sources anywhere outside ``src/sim/rng.*``:
     ``std::rand``, ``random_device``, ``time(nullptr)``/``time(NULL)``,
     ``high_resolution_clock``. All randomness must flow through the
@@ -118,8 +114,6 @@ D5_ALLOWED_FILES = ("src/sim/logging.cc", "src/sim/table.cc")
 D5_ALLOWED_DIRS = ("src/sim/obs/",)
 
 UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set)\s*<")
-# Insertion-order-deterministic flat containers (sim/flat_map.hh).
-FLAT_DECL = re.compile(r"\bFlat(?:Map|Set)\s*<")
 RANGE_FOR = re.compile(
     r"\bfor\s*\([^;()]*?:\s*&?\s*([A-Za-z_][\w.\->]*)\s*\)"
 )
@@ -174,8 +168,7 @@ def is_result_path(rel):
     )
 
 
-def check_d1(rel, raw_lines, code_lines, unordered_names,
-             local_flat, local_unordered, findings):
+def check_d1(rel, raw_lines, code_lines, unordered_names, findings):
     if not is_result_path(rel):
         return
     for idx, code in enumerate(code_lines):
@@ -190,11 +183,6 @@ def check_d1(rel, raw_lines, code_lines, unordered_names,
         if not m:
             continue
         target = m.group(1).split(".")[-1].split("->")[-1]
-        # A name declared FlatMap/FlatSet in this same file iterates
-        # in insertion order; exempt unless the file also declares
-        # the name unordered (ambiguous -> stay conservative).
-        if target in local_flat and target not in local_unordered:
-            continue
         if target not in unordered_names:
             continue
         annotated = any(
@@ -555,23 +543,17 @@ def lint_files(paths):
 
     texts = {}
     unordered_names = set()
-    local_decls = {}
     for f in files:
         raw = read_source(f)
         code = strip_comments_and_strings(raw)
         texts[f] = (raw.splitlines(), code.splitlines(), code)
-        local_unordered = collect_decl_names(code, UNORDERED_DECL)
-        local_decls[f] = (collect_decl_names(code, FLAT_DECL),
-                          local_unordered)
-        unordered_names |= local_unordered
+        unordered_names |= collect_decl_names(code, UNORDERED_DECL)
 
     findings = []
     for f in files:
         rel = relpath(f)
         raw_lines, code_lines, code_text = texts[f]
-        local_flat, local_unordered = local_decls[f]
-        check_d1(rel, raw_lines, code_lines, unordered_names,
-                 local_flat, local_unordered, findings)
+        check_d1(rel, raw_lines, code_lines, unordered_names, findings)
         check_d2(rel, code_lines, findings)
         check_d3(rel, code_lines, findings)
         check_d4(rel, raw_lines, findings)

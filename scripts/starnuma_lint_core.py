@@ -747,24 +747,94 @@ def func_annotated(sf, f, annotation):
     return has_annotation_above(sf.raw_lines, lo, annotation)
 
 
+def class_of(f):
+    """Class part of @p f's qualified name, or None for a free
+    function."""
+    return f.qualname.rsplit("::", 1)[0] if "::" in f.qualname \
+        else None
+
+
+def call_context(toks, j):
+    """(qual, receiver) of the call named at token @p j: ``X::f(``
+    gives ("X", None), ``obj.f(``/``obj->f(`` gives (None, "obj"),
+    ``obj[i].f(`` gives (None, "obj[]") (an element of a subscripted
+    container), anything else (None, None)."""
+    if j < 2:
+        return None, None
+    prv, k, depth = toks[j - 1].text, j - 2, 0
+    if prv == "::" and is_ident(toks[k].text):
+        return toks[k].text, None
+    if prv not in (".", "->"):
+        return None, None
+    if is_ident(toks[k].text):
+        return None, toks[k].text
+    while k > 0:  # back from ']' to its matching '['
+        depth += {"]": 1, "[": -1}.get(toks[k].text, 0)
+        if depth <= 0:
+            break
+        k -= 1
+    if depth == 0 and k > 0 and toks[k].text == "[" and \
+            is_ident(toks[k - 1].text):
+        return None, toks[k - 1].text + "[]"
+    return None, None
+
+
+# Words a declaration regex may capture that are not variable names.
+_DECL_NON_NAMES = frozenset((
+    "const", "constexpr", "final", "override", "operator", "public",
+    "private", "protected", "return", "new",
+))
+
+
 class CallGraph:
     """Name-based over-approximate call resolution: a simple name
     resolves to every indexed definition of that name; a qualified
     call ``X::f`` prefers definitions of class X; ``std::f`` with no
-    indexed definition resolves to nothing."""
+    indexed definition resolves to nothing. A member call narrows to
+    the classes its receiver is declared with anywhere in the tree
+    (``Cls obj``, ``Cls<T> obj``, and ``std::vector<Cls> obj`` for
+    ``obj[i].f(``); a receiver of unknown type keeps every
+    candidate."""
 
-    def __init__(self, tree):
+    def __init__(self, tree, extra_classes=()):
         self.tree = tree
         self.by_name = {}
         self.ctor_classes = {}
+        classes = set(extra_classes)
         for sf in tree.values():
             for f in sf.funcs:
                 self.by_name.setdefault(f.name, []).append(f)
                 qual = f.qualname.split("::")[0]
                 if f.name == qual and "::" in f.qualname:
                     self.ctor_classes.setdefault(qual, []).append(f)
+                if class_of(f):
+                    classes.add(class_of(f))
+        self.var_classes = self._declared_classes(sorted(classes))
 
-    def resolve(self, name, qual):
+    def _declared_classes(self, classes):
+        """Declared name -> set of the classes it is declared with
+        (``name[]`` for the elements of a ``std::vector<Cls>``)."""
+        out = {}
+        if not classes:
+            return out
+        alt = "|".join(re.escape(c) for c in classes)
+        decl_re = re.compile(
+            r"\b(%s)\b\s*(?:<(?:[^<>;{}]|<[^<>;{}]*>)*>)?"
+            r"\s*[&*]?\s*&?\s*([A-Za-z_]\w*)" % alt)
+        vec_re = re.compile(r"\bvector\s*<\s*(?:[A-Za-z_]\w*\s*::\s*)*"
+                            r"(%s)\s*>\s*&?\s*([A-Za-z_]\w*)" % alt)
+        for sf in self.tree.values():
+            code = "\n".join(sf.code_lines)
+            for rx, suffix in ((decl_re, ""), (vec_re, "[]")):
+                for m in rx.finditer(code):
+                    name = m.group(2)
+                    if name not in _DECL_NON_NAMES and \
+                            name not in NON_CALL_KEYWORDS:
+                        out.setdefault(name + suffix, set()).add(
+                            m.group(1))
+        return out
+
+    def resolve(self, name, qual, recv=None):
         cands = self.by_name.get(name, [])
         if qual:
             exact = [f for f in cands
@@ -773,4 +843,10 @@ class CallGraph:
                 return exact
             if qual == "std":
                 return []
+            return cands
+        owners = self.var_classes.get(recv) if recv else None
+        if owners and len(cands) > 1:
+            filt = [f for f in cands if class_of(f) in owners]
+            if filt:
+                return filt
         return cands

@@ -12,7 +12,7 @@ D12 Nondeterminism taint. Values originating at a taint source must
     outside the trusted ``src/sim/obs/`` layer, thread ids,
     pointer-to-integer ``reinterpret_cast``, ``getenv`` outside a
     documented ``STARNUMA_*`` gate line, host RNG outside
-    ``src/sim/rng.*``, and iteration over a non-Flat unordered
+    ``src/sim/rng.*``, and iteration over an unordered
     container not annotated ``// lint: order-independent``. Sinks:
     the checkpoint/trace serializers (``putVarint``/``putDouble``/
     ``encodeColumnar``), ``obs::Registry``/
@@ -120,7 +120,6 @@ OBS_DIR = "src/sim/obs/"
 
 UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set|multimap|"
                             r"multiset)\s*<")
-FLAT_DECL = re.compile(r"\bFlat(?:Map|Set)\s*<")
 RANGE_FOR = re.compile(
     r"\bfor\s*\(([^;()]*?):\s*&?\s*([A-Za-z_][\w.\->]*)\s*\)")
 
@@ -215,10 +214,6 @@ CACHE_KEYS = {
     "cache_key": [],
 }
 
-_DECL_NON_NAMES = frozenset((
-    "const", "constexpr", "final", "override", "operator", "public",
-    "private", "protected", "return", "new",
-))
 
 
 def rng_exempt(rel):
@@ -231,11 +226,6 @@ def trusted(rel):
     trusted kernels: sources inside them are legitimate, and taint
     is not propagated through their bodies."""
     return rel.startswith(OBS_DIR) or rng_exempt(rel)
-
-
-def class_of(f):
-    return f.qualname.rsplit("::", 1)[0] if "::" in f.qualname \
-        else None
 
 
 class Flow:
@@ -273,7 +263,7 @@ def merge(dst, src, via=None):
 class Analyzer:
     def __init__(self, tree):
         self.tree = tree
-        self.graph = core.CallGraph(tree)
+        self.graph = core.CallGraph(tree, RECEIVER_CLASSES)
         self.decl = self._build_decl_table()
         self.params = {}       # id(f) -> [param name or None]
         self.stmts = {}        # id(f) -> [(tok_start, tok_end)]
@@ -294,73 +284,14 @@ class Analyzer:
     # --- one-time prep ----------------------------------------------
 
     def _build_decl_table(self):
-        """var_classes: declared-name -> set of class names it is
-        declared with, covering every class the call graph knows
-        plus the sink receiver classes (handles both ``Cls x`` and
-        ``Cls<T...> x`` forms). self.decl derives the per-sink-class
-        view from it."""
-        classes = set(RECEIVER_CLASSES)
-        for sf in self.tree.values():
-            for f in sf.funcs:
-                c = class_of(f)
-                if c:
-                    classes.add(c)
-        rx = re.compile(r"\b(%s)\b"
-                        % "|".join(re.escape(c)
-                                   for c in sorted(classes)))
-        name_re = re.compile(r"\s*[&*]?\s*&?\s*([A-Za-z_]\w*)")
-        self.var_classes = {}
-        for sf in self.tree.values():
-            code = "\n".join(sf.code_lines)
-            n = len(code)
-            for m in rx.finditer(code):
-                cls = m.group(1)
-                i = m.end()
-                while i < n and code[i] in " \t\n":
-                    i += 1
-                if i < n and code[i] == "<":
-                    depth = 0
-                    while i < n:
-                        if code[i] == "<":
-                            depth += 1
-                        elif code[i] == ">":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        i += 1
-                    i += 1
-                elif i < n and code[i] == ":":
-                    continue  # Cls::... is a use, not a declaration
-                dm = name_re.match(code, i)
-                if dm:
-                    name = dm.group(1)
-                    if name not in _DECL_NON_NAMES and \
-                            name not in core.NON_CALL_KEYWORDS:
-                        self.var_classes.setdefault(
-                            name, set()).add(cls)
+        """Sink receiver class -> the names declared with it, from
+        the call graph's tree-wide declared-name table."""
         table = {cls: set() for cls in RECEIVER_CLASSES}
-        for name, owners in self.var_classes.items():
+        for name, owners in self.graph.var_classes.items():
             for cls in owners:
                 if cls in table:
                     table[cls].add(name)
         return table
-
-    def _resolve(self, name, qual, recv):
-        """Call resolution: class-qualified exact match first; for
-        ``obj.method(...)`` calls, restrict same-name candidates to
-        classes that declare a variable named ``obj`` (falling back
-        to the full over-approximate candidate set when the
-        receiver's type is unknown)."""
-        if qual:
-            return self.graph.resolve(name, qual)
-        cands = self.graph.resolve(name, None)
-        if recv and len(cands) > 1:
-            owners = self.var_classes.get(recv)
-            if owners:
-                filt = [f for f in cands if class_of(f) in owners]
-                if filt:
-                    return filt
-        return cands
 
     def _prepare(self):
         for rel in sorted(self.tree):
@@ -373,11 +304,10 @@ class Analyzer:
                 self.has_source[id(f)] = self._scan_sources(sf, f)
 
     def _find_range_sites(self, sf):
-        """(line, loop_var) for every range-for over a non-Flat
-        unordered container not annotated order-independent."""
+        """(line, loop_var) for every range-for over an unordered
+        container not annotated order-independent."""
         code = "\n".join(sf.code_lines)
-        unordered = core.collect_decl_names(code, UNORDERED_DECL) - \
-            core.collect_decl_names(code, FLAT_DECL)
+        unordered = core.collect_decl_names(code, UNORDERED_DECL)
         sites = []
         if not unordered:
             return sites
@@ -435,8 +365,8 @@ class Analyzer:
                 prv = toks[j - 1].text if j > 0 else ""
                 targets = ()
                 if nxt == "(" and t not in core.NON_CALL_KEYWORDS:
-                    qual, recv = self._call_context(toks, j)
-                    targets = self._resolve(t, qual, recv)
+                    qual, recv = core.call_context(toks, j)
+                    targets = self.graph.resolve(t, qual, recv)
                 elif nxt != "(" and t in self.graph.ctor_classes:
                     targets = self.graph.ctor_classes[t]
                 for tgt in targets:
@@ -512,16 +442,6 @@ class Analyzer:
 
     # --- D12 dataflow -----------------------------------------------
 
-    def _call_context(self, toks, j):
-        """(qual, receiver) for the call at token @p j."""
-        prv = toks[j - 1].text if j > 0 else ""
-        if prv == "::" and j >= 2 and core.is_ident(toks[j - 2].text):
-            return toks[j - 2].text, None
-        if prv in (".", "->") and j >= 2 and \
-                core.is_ident(toks[j - 2].text):
-            return None, toks[j - 2].text
-        return None, None
-
     def _split_args(self, toks, a, b):
         """Argument token ranges of a call whose '(' is at a-1 and
         whose matching ')' is at b."""
@@ -547,7 +467,7 @@ class Analyzer:
         """Taint flows carried by the expression tokens [a, b)."""
         toks = sf.toks
         out = {}
-        cls = class_of(f)
+        cls = core.class_of(f)
         j = a
         while j < b:
             t = toks[j].text
@@ -563,8 +483,8 @@ class Analyzer:
                 out.setdefault(
                     fid, Flow(kind, sf.rel, line, (f.qualname,)))
             elif nxt == "(" and t not in core.NON_CALL_KEYWORDS:
-                qual, recv = self._call_context(toks, j)
-                for tgt in self._resolve(t, qual, recv):
+                qual, recv = core.call_context(toks, j)
+                for tgt in self.graph.resolve(t, qual, recv):
                     if trusted(tgt.file_key):
                         continue
                     merge(out, self.fn_ret.get(id(tgt), {}),
@@ -665,7 +585,7 @@ class Analyzer:
 
     def _pass_function(self, sf, f, report):
         toks = sf.toks
-        cls = class_of(f)
+        cls = core.class_of(f)
         env = {}
         for p, flows in self.fn_param.get(id(f), {}).items():
             env[p] = dict(flows)
@@ -733,8 +653,8 @@ class Analyzer:
                     argflows = [
                         self._slice_flows(sf, f, s, e, env)
                         for s, e in args]
-                    qual, recv = self._call_context(toks, j)
-                    for tgt in self._resolve(t, qual, recv):
+                    qual, recv = core.call_context(toks, j)
+                    for tgt in self.graph.resolve(t, qual, recv):
                         if trusted(tgt.file_key):
                             continue
                         ps = self.params.get(id(tgt))
@@ -790,7 +710,7 @@ class Analyzer:
     def _maybe_tainted(self, f):
         if self.has_source.get(id(f)) or self.fn_param.get(id(f)):
             return True
-        cls = class_of(f)
+        cls = core.class_of(f)
         if cls and any(k.startswith(cls + "::")
                        for k in self.member):
             return True
@@ -940,7 +860,7 @@ class Analyzer:
             t = toks[j].text
             if core.is_ident(t) and t in EMISSION_METHODS and \
                     j + 1 < f.body_end and toks[j + 1].text == "(":
-                _, recv = self._call_context(toks, j)
+                _, recv = core.call_context(toks, j)
                 hit = None
                 if recv is not None:
                     for c in EMISSION_METHODS[t]:

@@ -12,9 +12,10 @@ namespace starnuma
 namespace core
 {
 
+// lint: cold-path one-time setup before the replay loop
 MigrationEngine::MigrationEngine(const MigrationConfig &config,
                                  int n_sockets, bool has_pool,
-                                 Addr region_bytes,
+                                 Addr region_bytes, PageRange pages,
                                  std::uint64_t seed)
     : cfg(config), sockets(n_sockets), hasPool(has_pool),
       poolNode(n_sockets), regionBytes(region_bytes),
@@ -25,6 +26,24 @@ MigrationEngine::MigrationEngine(const MigrationConfig &config,
 {
     sn_assert(region_bytes % pageBytes == 0,
               "region size must be page aligned");
+    if (pages.pages == 0)
+        return;
+    // The same region range RegionTracker derives from the pages.
+    regionBase = pageBase(pages.base) / region_bytes;
+    RegionId last =
+        pageBase(pages.base + PageNum(pages.pages - 1)) / region_bytes;
+    migrationCounts.assign(last - regionBase + 1, 0);
+    poolResident.assign(last - regionBase + 1, 0);
+}
+
+std::uint64_t
+MigrationEngine::regionSlot(RegionId region) const
+{
+    std::uint64_t i = region - regionBase;
+    sn_assert(i < migrationCounts.size(),
+              "region %llu outside the migration engine's range",
+              static_cast<unsigned long long>(region));
+    return i;
 }
 
 NodeId
@@ -72,10 +91,7 @@ MigrationEngine::pingPonging(RegionId region, int phase) const
 {
     // "A region is ping-ponging if it has migrated more than a
     // quarter of the current phase number" (Algorithm 1 footnote).
-    auto it = migrationCounts.find(region);
-    if (it == migrationCounts.end())
-        return false;
-    return it->second * 4 > phase;
+    return migrationCounts[regionSlot(region)] * 4 > phase;
 }
 
 // lint: cold-path Algorithm 1 runs once per migration phase
@@ -116,13 +132,11 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
 
     // Phase snapshot for victim lookups (the live tracker was just
     // reset; untouched regions read as zero -> always cold).
-    FlatMap<RegionId, TrackerEntry> snapshot;
-    snapshot.reserve(touched_sorted.size());
+    std::vector<TrackerEntry> snapshot(migrationCounts.size());
     for (const auto &[r, e] : touched_sorted)
-        snapshot.emplace(r, e);
-    auto phaseEntry = [&](RegionId r) -> TrackerEntry {
-        auto it = snapshot.find(r);
-        return it == snapshot.end() ? TrackerEntry{} : it->second;
+        snapshot[regionSlot(r)] = e;
+    auto phaseEntry = [&](RegionId r) -> const TrackerEntry & {
+        return snapshot[regionSlot(r)];
     };
 
     auto isCandidate = [&](const TrackerEntry &e) {
@@ -231,16 +245,13 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
             bool room = true;
             while (pages.pagesAt(poolNode) + pagesPerRegion >
                    pool_capacity_pages) {
-                // Victim choice: the lowest-numbered cold resident
-                // (a commutative min-reduction, so it would be
-                // order-safe even without FlatSet's deterministic
-                // iteration order).
+                // Victim choice: the lowest-numbered cold resident.
                 RegionId victim = 0;
                 bool found = false;
-                for (RegionId pr : poolResidents) {
-                    if (phaseEntry(pr).accesses <= lo &&
-                        (!found || pr < victim)) {
-                        victim = pr;
+                for (std::uint64_t i = 0;
+                     i < poolResident.size() && !found; ++i) {
+                    if (poolResident[i] && snapshot[i].accesses <= lo) {
+                        victim = regionBase + i;
                         found = true;
                     }
                 }
@@ -255,8 +266,9 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
                 }
                 NodeId victim_dest = randomSharer(phaseEntry(victim));
                 moveRegion(victim, victim_dest, pages);
-                poolResidents.erase(victim);
-                ++migrationCounts[victim];
+                poolResident[regionSlot(victim)] = 0;
+                --poolCount;
+                ++migrationCounts[regionSlot(victim)];
                 ++victims_;
                 plan.push_back(
                     {victim, poolNode, victim_dest, true});
@@ -270,13 +282,13 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
         }
 
         moveRegion(region, best, pages);
-        if (best == poolNode) {
-            poolResidents.insert(region);
+        std::uint8_t &resident = poolResident[regionSlot(region)];
+        poolCount -= resident;
+        resident = best == poolNode ? 1 : 0;
+        poolCount += resident;
+        if (best == poolNode)
             ++toPool_;
-        } else {
-            poolResidents.erase(region);
-        }
-        ++migrationCounts[region];
+        ++migrationCounts[regionSlot(region)];
         ++migrated_;
         plan.push_back({region, curr, best, false});
         moved_pages += pagesPerRegion;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/region_tracker.hh"
-#include "sim/flat_map.hh"
 #include "mem/page_map.hh"
 #include "sim/obs/audit.hh"
 #include "sim/rng.hh"
@@ -97,8 +96,12 @@ struct RegionMigration
 class MigrationEngine
 {
   public:
+    /**
+     * @param pages pages whose regions the engine can move: the
+     *        range the RegionTracker feeding it covers.
+     */
     MigrationEngine(const MigrationConfig &config, int n_sockets,
-                    bool has_pool, Addr region_bytes,
+                    bool has_pool, Addr region_bytes, PageRange pages,
                     std::uint64_t seed = 1);
 
     /**
@@ -127,7 +130,7 @@ class MigrationEngine
     double poolMigrationFraction() const;
 
     /** Regions currently resident in the pool (engine's view). */
-    std::size_t poolRegions() const { return poolResidents.size(); }
+    std::size_t poolRegions() const { return poolCount; }
 
     /** Register the cumulative counters and live thresholds. */
     void registerStats(obs::Registry &r,
@@ -146,6 +149,7 @@ class MigrationEngine
     void moveRegion(RegionId region, NodeId to, mem::PageMap &pages);
     NodeId randomSharer(const TrackerEntry &e);
     bool pingPonging(RegionId region, int phase) const;
+    std::uint64_t regionSlot(RegionId region) const;
 
     MigrationConfig cfg;
     int sockets;
@@ -158,8 +162,11 @@ class MigrationEngine
     std::uint32_t hi;
     std::uint32_t lo;
 
-    FlatMap<RegionId, int> migrationCounts;
-    FlatSet<RegionId> poolResidents;
+    // Dense over the region range (slot = region - regionBase).
+    RegionId regionBase = 0;
+    std::vector<int> migrationCounts;
+    std::vector<std::uint8_t> poolResident;
+    std::size_t poolCount = 0;
 
     std::uint64_t migrated_;
     std::uint64_t toPool_;

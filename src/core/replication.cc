@@ -4,7 +4,6 @@
 #include <bit>
 #include <vector>
 
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 
 namespace starnuma
@@ -25,20 +24,21 @@ planReplication(const trace::WorkloadTrace &trace,
     {
         std::uint64_t sharerMask = 0;
         std::uint64_t accesses = 0;
+        bool written = false;
     };
-    FlatMap<PageNum, PageInfo> pages;
+    const PageRange span = trace::pageSpan(trace);
+    std::vector<PageInfo> pages(span.pages);
     for (int t = 0; t < trace.threads; ++t) {
         NodeId socket = t / cores_per_socket;
         for (const auto &r : trace.perThread[t]) {
-            PageInfo &p = pages[pageNumber(r.vaddr())];
+            PageInfo &p = pages[span.slot(pageNumber(r.vaddr()))];
             p.sharerMask |= 1ULL << socket;
             ++p.accesses;
         }
     }
-    FlatSet<PageNum> written;
-    written.reserve(trace.writtenPages.size());
     for (PageNum wp : trace.writtenPages)
-        written.insert(wp);
+        if (span.slot(wp) < span.pages)
+            pages[span.slot(wp)].written = true;
 
     struct Candidate
     {
@@ -50,15 +50,17 @@ planReplication(const trace::WorkloadTrace &trace,
     ReplicationPlan plan;
     // Candidates are sorted (heat, then page) below; the
     // rejection counter is a commutative sum.
-    for (const auto &[page, info] : pages) {
+    for (std::uint64_t slot = 0; slot < span.pages; ++slot) {
+        const PageInfo &info = pages[slot];
         int sharers = std::popcount(info.sharerMask);
-        if (sharers < config.sharerThreshold)
+        if (info.accesses == 0 || sharers < config.sharerThreshold)
             continue;
-        if (written.count(page)) {
+        if (info.written) {
             ++plan.rejectedReadWrite;
             continue;
         }
-        candidates.push_back({page, sharers, info.accesses});
+        candidates.push_back(
+            {span.base + PageNum(slot), sharers, info.accesses});
     }
 
     // Hottest (by access count) first: replication capacity goes
@@ -83,8 +85,9 @@ planReplication(const trace::WorkloadTrace &trace,
             continue;
         }
         replica_pages += cost;
-        plan.replicated.insert(c.page);
+        plan.replicated.push_back(c.page);
     }
+    std::sort(plan.replicated.begin(), plan.replicated.end());
     plan.capacityOverhead =
         footprint_pages
             ? replica_pages / static_cast<double>(footprint_pages)

@@ -17,9 +17,9 @@
 #ifndef STARNUMA_CORE_REPLICATION_HH
 #define STARNUMA_CORE_REPLICATION_HH
 
+#include <algorithm>
 #include <cstdint>
-
-#include "sim/flat_map.hh"
+#include <vector>
 
 // lint: layer-exception — idealized replication (§V-F) is an
 // *offline* analysis over a whole captured run: candidate selection
@@ -51,8 +51,11 @@ struct ReplicationConfig
 /** Outcome of replication candidate selection. */
 struct ReplicationPlan
 {
-    /** Pages replicated at every sharer (accesses become local). */
-    FlatSet<PageNum> replicated;
+    /**
+     * Pages replicated at every sharer (accesses become local), in
+     * ascending order.
+     */
+    std::vector<PageNum> replicated;
 
     /** Replica bytes divided by footprint bytes. */
     double capacityOverhead = 0.0;
@@ -66,7 +69,8 @@ struct ReplicationPlan
     bool
     isReplicated(PageNum page) const
     {
-        return replicated.contains(page);
+        return std::binary_search(replicated.begin(),
+                                  replicated.end(), page);
     }
 };
 

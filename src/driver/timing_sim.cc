@@ -15,7 +15,6 @@
 #include "mem/page_map.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/obs/obs.hh"
 #include "sim/obs/timeseries.hh"
@@ -70,7 +69,7 @@ struct MachineState
 {
     MachineState(const SystemSetup &setup, const SimScale &scale,
                  const CoreModel &core, PageRange page_span,
-                 const FlatSet<PageNum> &replicated_pages)
+                 const std::vector<PageNum> &replicated_pages)
         : topo(setup.sys), directory(setup.sys.sockets),
           pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0),
                 page_span),

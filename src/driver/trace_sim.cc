@@ -67,14 +67,22 @@ TraceSim::run(const trace::WorkloadTrace &trace,
 namespace
 {
 
-/** Snapshot a PageMap into a checkpoint's plain map. */
+/**
+ * Snapshot a PageMap over @p span into a checkpoint's page list. The
+ * scan runs in slot order, which is page order.
+ */
 // lint: cold-path one full-map copy per phase checkpoint
-FlatMap<PageNum, NodeId>
-snapshot(const mem::PageMap &pm)
+PageHomes
+snapshot(const mem::PageMap &pm, PageRange span)
 {
-    FlatMap<PageNum, NodeId> out;
+    PageHomes out;
     out.reserve(pm.totalPages());
-    pm.forEach([&](PageNum page, NodeId home) { out[page] = home; });
+    for (std::uint64_t slot = 0; slot < span.pages; ++slot) {
+        PageNum page = span.base + PageNum(slot);
+        NodeId home = pm.home(page);
+        if (home != mem::invalidNode)
+            out.emplace_back(page, home);
+    }
     return out;
 }
 
@@ -181,47 +189,21 @@ getDouble(trace::ByteReader &r, double &v)
     return true;
 }
 
-PageNum
-pageOf(const std::pair<PageNum, NodeId> &kv)
-{
-    return kv.first;
-}
-
-PageNum
-pageOf(PageNum page)
-{
-    return page;
-}
-
-/** Sorted copy of the pages in a flat page set/map. */
-template <typename Pages>
-std::vector<PageNum>
-sortedPages(const Pages &source)
-{
-    std::vector<PageNum> out;
-    out.reserve(source.size());
-    for (const auto &entry : source)
-        out.push_back(pageOf(entry));
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 void
-putPageHome(std::vector<std::uint8_t> &buf,
-            const FlatMap<PageNum, NodeId> &home)
+putPageHome(std::vector<std::uint8_t> &buf, const PageHomes &home)
 {
     putVarint(buf, home.size());
-    std::vector<PageNum> sorted = sortedPages(home);
     std::uint64_t prev = 0;
-    for (PageNum page : sorted) {
+    for (const auto &[page, node] : home) {
         putVarint(buf, page.value() - prev);
         prev = page.value();
-        putVarint(buf, zigzag(home.at(page)));
+        putVarint(buf, zigzag(node));
     }
 }
 
+/** Decode a page list; pages must strictly increase. */
 bool
-getPageHome(trace::ByteReader &r, FlatMap<PageNum, NodeId> &home)
+getPageHome(trace::ByteReader &r, PageHomes &home)
 {
     std::uint64_t n = 0;
     if (!r.getVarint(n) || n > r.remaining())
@@ -232,9 +214,11 @@ getPageHome(trace::ByteReader &r, FlatMap<PageNum, NodeId> &home)
         std::uint64_t delta = 0, node = 0;
         if (!r.getVarint(delta) || !r.getVarint(node))
             return false;
+        if (i > 0 && page + delta <= page)
+            return false;
         page += delta;
-        home[PageNum(page)] =
-            static_cast<NodeId>(trace::unzigzag(node));
+        home.emplace_back(PageNum(page),
+                          static_cast<NodeId>(trace::unzigzag(node)));
     }
     return true;
 }
@@ -387,7 +371,7 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
     // between experiments, so concurrent sweep entries draw the same
     // sequences they would serially.
     core::MigrationEngine engine(mig_cfg, setup.sys.sockets, star,
-                                 setup.regionBytes,
+                                 setup.regionBytes, span,
                                  taskSeed({trace.workload,
                                            setup.name}));
     core::TlbDirectory tlb_dir(trace.threads,
@@ -423,7 +407,7 @@ TraceSim::runDynamic(const trace::WorkloadTrace &trace)
 
     for (int phase = 0; phase < scale.phases; ++phase) {
         Checkpoint cp;
-        cp.pageHome = snapshot(pm);
+        cp.pageHome = snapshot(pm, span);
         cp.regionMigrations = std::move(pending_regions);
         cp.pageMigrations = std::move(pending_pages);
         pending_regions.clear();
@@ -570,7 +554,7 @@ TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
     oracle.place(pm, star, result.poolCapacityPages,
                  setup.migration.poolSharerThreshold);
 
-    auto map = snapshot(pm);
+    auto map = snapshot(pm, span);
     for (int phase = 0; phase < scale.phases; ++phase) {
         Checkpoint cp;
         cp.pageHome = map;
@@ -600,10 +584,8 @@ TraceSimResult::serialize() const
     for (const Checkpoint &cp : checkpoints)
         encodeCheckpoint(buf, cp);
     putVarint(buf, replication.replicated.size());
-    std::vector<PageNum> rep =
-        sortedPages(replication.replicated);
     std::uint64_t prev = 0;
-    for (PageNum page : rep) {
+    for (PageNum page : replication.replicated) {
         putVarint(buf, page.value() - prev);
         prev = page.value();
     }
@@ -648,7 +630,7 @@ TraceSimResult::deserialize(ByteReader &r)
         if (!r.getVarint(delta))
             return false;
         page += delta;
-        replication.replicated.insert(PageNum(page));
+        replication.replicated.push_back(PageNum(page));
     }
     return getDouble(r, replication.capacityOverhead);
 }

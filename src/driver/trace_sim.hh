@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/migration.hh"
@@ -21,7 +22,6 @@
 #include "core/replication.hh"
 #include "driver/system_setup.hh"
 #include "sim/bytes.hh"
-#include "sim/flat_map.hh"
 #include "sim/obs/audit.hh"
 #include "sim/obs/registry.hh"
 #include "sim/obs/timeseries.hh"
@@ -33,11 +33,14 @@ namespace starnuma
 namespace driver
 {
 
+/** (page, home node) pairs in ascending page order. */
+using PageHomes = std::vector<std::pair<PageNum, NodeId>>;
+
 /** Inputs of one phase's timing simulation. */
 struct Checkpoint
 {
-    /** Page -> home node at the start of the phase. */
-    FlatMap<PageNum, NodeId> pageHome;
+    /** Page homes at the start of the phase. */
+    PageHomes pageHome;
 
     /** Region migrations occurring during this phase (StarNUMA). */
     std::vector<core::RegionMigration> regionMigrations;
@@ -102,16 +105,17 @@ struct TraceSimResult
      * Serialize the checkpoints (step B's output artifact, §IV-A2)
      * so timing simulations can run later or elsewhere, e.g. from
      * the content-addressed artifact store (DESIGN.md §16). Format
-     * v2: varint/delta coded (sim/bytes.hh primitives), written in
-     * sorted page order so artifacts are byte-identical across
-     * runs.
+     * v2: varint/delta coded (sim/bytes.hh primitives). Page lists
+     * are held sorted by page, so they are written in page order
+     * and artifacts are byte-identical across runs.
      */
     std::vector<std::uint8_t> serialize() const;
 
     /**
      * Decode a serialize() image from @p r, leaving the reader
      * positioned after it (embeddable in larger records).
-     * @return false on malformed input.
+     * @return false on malformed input, including a checkpoint
+     *         whose pages do not strictly increase.
      */
     bool deserialize(ByteReader &r);
 };

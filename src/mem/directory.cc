@@ -1,6 +1,8 @@
 #include "mem/directory.hh"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/obs/registry.hh"
@@ -10,14 +12,24 @@ namespace starnuma
 namespace mem
 {
 
+namespace
+{
+
+/** Slots of a fresh table. */
+constexpr std::size_t initialSlots = 1024;
+
+} // anonymous namespace
+
 Directory::Directory(int n_sockets)
     : sockets(n_sockets), poolNode(n_sockets), transactions_(0),
       blockTransfers_(0), poolTransfers_(0), invalidations_(0)
 {
     sn_assert(n_sockets > 0 && n_sockets <= 64,
               "directory bit-vector supports up to 64 sockets");
+    rehash(initialSlots);
 }
 
+// lint: hot-path one lookup per LLC miss of the timing simulation
 CoherenceResult
 Directory::access(Addr block, NodeId requester, bool write,
                   NodeId home)
@@ -27,7 +39,16 @@ Directory::access(Addr block, NodeId requester, bool write,
     ++transactions_;
 
     CoherenceResult result;
-    Entry &e = entries[block];
+    std::size_t i = probe(block);
+    if (slots[i].block == emptyBlock) {
+        if ((used + 1) * 4 > slots.size() * 3) {
+            rehash(slots.size() * 2);
+            i = probe(block);
+        }
+        slots[i].block = block;
+        ++used;
+    }
+    Slot &e = slots[i];
     std::uint64_t req_bit = 1ULL << requester;
 
     // A dirty copy in another socket's cache supplies the data.
@@ -58,46 +79,77 @@ Directory::access(Addr block, NodeId requester, bool write,
     return result;
 }
 
+// lint: hot-path one call per LLC eviction of the timing simulation
 void
 Directory::evict(Addr block, NodeId socket)
 {
-    auto it = entries.find(block);
-    if (it == entries.end())
+    std::size_t i = probe(block);
+    Slot &e = slots[i];
+    if (e.block == emptyBlock)
         return;
-    Entry &e = it->second;
     e.sharerMask &= ~(1ULL << socket);
     if (e.owner == socket)
         e.owner = -1;
     if (e.sharerMask == 0)
-        entries.erase(it);
+        erase(i);
 }
 
+void
+Directory::erase(std::size_t hole)
+{
+    // Pull back every later slot of the chain whose home lies at or
+    // before the hole, so no chain ever crosses a free slot.
+    for (std::size_t j = (hole + 1) & mask;
+         slots[j].block != emptyBlock; j = (j + 1) & mask) {
+        if (((j - homeSlot(slots[j].block)) & mask) >=
+            ((j - hole) & mask)) {
+            slots[hole] = slots[j];
+            hole = j;
+        }
+    }
+    slots[hole] = freeSlot;
+    --used;
+}
+
+// lint: cold-path amortized growth at 3/4 load, outlined so the hot
+// access() symbol carries no allocation
+void
+Directory::rehash(std::size_t capacity)
+{
+    std::vector<Slot> old =
+        std::exchange(slots, std::vector<Slot>(capacity, freeSlot));
+    mask = capacity - 1;
+    shift = 64 - std::countr_zero(capacity);
+    for (const Slot &s : old)
+        if (s.block != emptyBlock)
+            slots[probe(s.block)] = s;
+}
+
+// Free slots hold a zero sharer mask and no owner, so a lookup that
+// ends on one reads as an untracked block.
 bool
 Directory::cached(Addr block) const
 {
-    return entries.find(block) != entries.end();
+    return slots[probe(block)].block != emptyBlock;
 }
 
 int
 Directory::sharers(Addr block) const
 {
-    auto it = entries.find(block);
-    return it == entries.end()
-               ? 0
-               : std::popcount(it->second.sharerMask);
+    return std::popcount(slots[probe(block)].sharerMask);
 }
 
 NodeId
 Directory::dirtyOwner(Addr block) const
 {
-    auto it = entries.find(block);
-    return it == entries.end() ? -1 : it->second.owner;
+    return slots[probe(block)].owner;
 }
 
 void
 Directory::reset()
 {
-    entries.clear();
+    std::fill(slots.begin(), slots.end(), freeSlot);
+    used = 0;
     transactions_ = 0;
     blockTransfers_ = 0;
     poolTransfers_ = 0;

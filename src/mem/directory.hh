@@ -18,8 +18,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "sim/flat_map.hh"
+#include "sim/annotations.hh"
 #include "sim/types.hh"
 
 namespace starnuma
@@ -75,7 +76,11 @@ class Directory
     void evict(Addr block, NodeId socket);
 
     /** Hint that @p block's entry will be looked up soon. */
-    void prefetch(Addr block) const { entries.prefetch(block); }
+    void
+    prefetch(Addr block) const
+    {
+        __builtin_prefetch(&slots[homeSlot(block)]);
+    }
 
     /** True if any socket caches @p block. */
     bool cached(Addr block) const;
@@ -87,7 +92,7 @@ class Directory
     NodeId dirtyOwner(Addr block) const;
 
     /** Blocks with at least one presence bit set. */
-    std::size_t trackedBlocks() const { return entries.size(); }
+    std::size_t trackedBlocks() const { return used; }
 
     // Aggregate stats for §V-A's coherence-activity discussion.
     std::uint64_t transactions() const { return transactions_; }
@@ -99,18 +104,56 @@ class Directory
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
 
+    /** Forget every block and zero the counters; keeps capacity. */
     void reset();
 
   private:
-    struct Entry
+    /**
+     * One tracked block, stored inline in the open-addressing table
+     * (DESIGN.md §12). A free slot is freeSlot: emptyBlock, which is
+     * not block-aligned and so never a block, with no sharers.
+     */
+    struct Slot
     {
-        std::uint64_t sharerMask = 0;
-        NodeId owner = -1; ///< dirty owner, -1 when block is clean
+        Addr block;
+        std::uint64_t sharerMask;
+        NodeId owner; ///< dirty owner, -1 when block is clean
     };
+
+    static constexpr Addr emptyBlock = ~Addr(0);
+    static constexpr Slot freeSlot{emptyBlock, 0, -1};
+
+    /** Home slot of @p block: the high bits of a Fibonacci hash. */
+    std::size_t
+    homeSlot(Addr block) const
+    {
+        return static_cast<std::size_t>(
+            (block * 0x9e3779b97f4a7c15ULL) >> shift);
+    }
+
+    /** Slot holding @p block, or the free slot ending its chain. */
+    std::size_t
+    probe(Addr block) const
+    {
+        std::size_t i = homeSlot(block);
+        while (slots[i].block != block &&
+               slots[i].block != emptyBlock)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Empty slot @p hole with backward-shift deletion. */
+    void erase(std::size_t hole);
+
+    /** Resize the table to @p capacity slots (a power of two). */
+    STARNUMA_COLD_PATH void rehash(std::size_t capacity);
 
     int sockets;
     NodeId poolNode;
-    FlatMap<Addr, Entry> entries;
+    std::vector<Slot> slots;
+    std::size_t mask = 0;
+    int shift = 64; ///< 64 - log2(slots.size())
+    std::size_t used = 0;
     std::uint64_t transactions_;
     std::uint64_t blockTransfers_;
     std::uint64_t poolTransfers_;

@@ -22,7 +22,10 @@ Addr
 CaptureContext::alloc(Addr bytes)
 {
     Addr base = nextAddr;
-    nextAddr += pagesCovering(bytes) * pageBytes;
+    std::uint64_t pages = pagesCovering(bytes);
+    nextAddr += pages * pageBytes;
+    written.resize(written.size() + pages, 0);
+    touched.resize(touched.size() + pages, 0);
     return base;
 }
 
@@ -32,20 +35,23 @@ CaptureContext::access(ThreadId t, Addr vaddr, bool write)
     sn_assert(t >= 0 && static_cast<std::size_t>(t) < state.size(),
               "access by unknown thread %d", t);
     PageNum page = pageNumber(vaddr);
+    std::uint64_t slot = page.value() - pageNumber(baseAddr).value();
+    sn_assert(slot < written.size(),
+              "access to page %llu outside the capture's allocations",
+              static_cast<unsigned long long>(page.value()));
     if (inSetup) {
         // Setup accesses are untimed; writes seed first touch.
-        if (write && touched.try_emplace(page, t).second)
-            // lint: cold-path untimed setup, once per first-touched page
+        if (write && !touched[slot]) {
+            touched[slot] = 1;
             firstTouches.push_back({page, t});
+        }
         return;
     }
     ThreadState &ts = state[t];
     ++ts.instructions; // the memory op is an instruction too
     if (write)
-        written.insert(page);
+        written[slot] = 1;
     if (!ts.filter.access(vaddr, write).hit)
-        // lint: cold-path amortized growth of the captured trace,
-        // the output step A exists to produce
         ts.records.emplace_back(ts.instructions, vaddr, write);
 }
 
@@ -74,10 +80,11 @@ CaptureContext::take(const std::string &workload,
         t.maxPage = pageNumber(nextAddr - 1);
     }
     t.firstTouches = std::move(firstTouches);
-    // Sorted so captured traces are byte-identical across runs
-    // (the set's hash order is not).
-    t.writtenPages.assign(written.begin(), written.end());
-    std::sort(t.writtenPages.begin(), t.writtenPages.end());
+    // A scan in slot order lists the written pages in ascending
+    // order.
+    for (std::size_t slot = 0; slot < written.size(); ++slot)
+        if (written[slot])
+            t.writtenPages.push_back(t.minPage + PageNum(slot));
     t.perThread.reserve(state.size());
     for (auto &ts : state)
         t.perThread.push_back(std::move(ts.records));

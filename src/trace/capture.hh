@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -51,7 +50,8 @@ class CaptureContext
     // --- Simulated address space ---
 
     /**
-     * Allocate @p bytes of simulated memory (page aligned).
+     * Allocate @p bytes of simulated memory (page aligned). Every
+     * later access must fall inside the allocations made so far.
      * @return the region's base virtual address.
      */
     Addr alloc(Addr bytes);
@@ -111,8 +111,9 @@ class CaptureContext
     static constexpr Addr baseAddr = 0x10000000;
 
     std::vector<ThreadState> state;
-    FlatSet<PageNum> written;
-    FlatMap<PageNum, ThreadId> touched;
+    // One byte per allocated page (slot = page - first page).
+    std::vector<std::uint8_t> written;
+    std::vector<std::uint8_t> touched;
     std::vector<FirstTouch> firstTouches;
     Addr nextAddr;
     bool inSetup;

@@ -1,8 +1,8 @@
 #include "trace/profile.hh"
 
 #include <bit>
+#include <vector>
 
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 
 namespace starnuma
@@ -26,27 +26,30 @@ SharingProfile::SharingProfile(const WorkloadTrace &trace,
         std::uint64_t accesses = 0;
         bool written = false;
     };
-    FlatMap<PageNum, PageInfo> pages;
+    const PageRange span = pageSpan(trace);
+    std::vector<PageInfo> pages(span.pages);
 
     for (int t = 0; t < trace.threads; ++t) {
         NodeId socket = t / cores_per_socket;
         sn_assert(socket < sockets, "thread %d beyond socket count",
                   t);
         for (const MemRecord &r : trace.perThread[t]) {
-            PageInfo &p = pages[pageNumber(r.vaddr())];
+            PageInfo &p = pages[span.slot(pageNumber(r.vaddr()))];
             p.sharerMask |= 1ULL << socket;
             ++p.accesses;
             p.written |= r.isWrite();
         }
     }
 
-    for (PageNum wp : trace.writtenPages) {
-        auto it = pages.find(wp);
-        if (it != pages.end())
-            it->second.written = true;
-    }
+    for (PageNum wp : trace.writtenPages)
+        if (span.slot(wp) < span.pages)
+            pages[span.slot(wp)].written = true;
 
-    for (const auto &[page, p] : pages) {
+    // Only pages with records count; every sum below is commutative.
+    for (const PageInfo &p : pages) {
+        if (p.accesses == 0)
+            continue;
+        ++totalPages_;
         int degree = std::popcount(p.sharerMask);
         ++pagesByDegree[degree];
         accessesByDegree[degree] += p.accesses;
@@ -56,7 +59,6 @@ SharingProfile::SharingProfile(const WorkloadTrace &trace,
             rwAccessesByDegree[degree] += p.accesses;
         }
     }
-    totalPages_ = pages.size();
 }
 
 double

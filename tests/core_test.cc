@@ -180,7 +180,7 @@ class MigrationTest : public ::testing::Test
   protected:
     MigrationTest()
         : tracker(16, 16, kRegion, kSpan), pages(17, kSpan),
-          engine(MigrationConfig{}, 16, true, kRegion, 42)
+          engine(MigrationConfig{}, 16, true, kRegion, kSpan, 42)
     {
     }
 
@@ -253,7 +253,7 @@ TEST_F(MigrationTest, MigrationLimitRespected)
 {
     MigrationConfig cfg;
     cfg.migrationLimitPages = kRegion / pageBytes; // one region
-    MigrationEngine limited(cfg, 16, true, kRegion, 7);
+    MigrationEngine limited(cfg, 16, true, kRegion, kSpan, 7);
     for (RegionId r = 0; r < 4; ++r) {
         mapRegion(r, 1);
         heatRegion(r, 16, 100);
@@ -320,7 +320,7 @@ TEST_F(MigrationTest, T0UsesAllSocketsCriterion)
 {
     MigrationConfig cfg;
     cfg.counterBits = 0;
-    MigrationEngine t0(cfg, 16, true, kRegion, 3);
+    MigrationEngine t0(cfg, 16, true, kRegion, kSpan, 3);
     RegionTracker tracker0(0, 16, kRegion, kSpan);
 
     mapRegion(0, 2);
@@ -339,7 +339,7 @@ TEST_F(MigrationTest, BaselineHasNoPoolDestination)
 {
     MigrationConfig cfg;
     cfg.poolEnabled = false;
-    MigrationEngine base(cfg, 16, false, kRegion, 5);
+    MigrationEngine base(cfg, 16, false, kRegion, kSpan, 5);
     // Home (socket 9) is not among the sharers (0..7), so the
     // region moves — but only ever to a socket, never the pool.
     mapRegion(0, 9);
@@ -365,7 +365,7 @@ TEST_F(MigrationTest, LiteralReshuffleFlagRestoresAlgorithm1)
 {
     MigrationConfig cfg;
     cfg.randomSharerReshuffle = true;
-    MigrationEngine literal(cfg, 16, true, kRegion, 2);
+    MigrationEngine literal(cfg, 16, true, kRegion, kSpan, 2);
     mapRegion(0, 2);
     heatRegion(0, 2, 100); // sharers {0, 1}; home 2 not a sharer
     auto plan = literal.decidePhase(tracker, pages, 100000, 1);
@@ -377,7 +377,7 @@ TEST_F(MigrationTest, HiThresholdAdaptsUpUnderPressure)
 {
     MigrationConfig cfg;
     cfg.migrationLimitPages = kRegion / pageBytes; // 1 region
-    MigrationEngine eng(cfg, 16, true, kRegion, 11);
+    MigrationEngine eng(cfg, 16, true, kRegion, kSpan, 11);
     for (RegionId r = 0; r < 20; ++r) {
         mapRegion(r, 1);
         heatRegion(r, 16, 1000);
@@ -392,7 +392,7 @@ TEST_F(MigrationTest, HiThresholdAdaptsDownWhenQuiet)
     MigrationConfig cfg;
     cfg.hiThresholdStart = 1024;
     cfg.migrationLimitPages = 64 * (kRegion / pageBytes);
-    MigrationEngine eng(cfg, 16, true, kRegion, 13);
+    MigrationEngine eng(cfg, 16, true, kRegion, kSpan, 13);
     mapRegion(0, 1);
     heatRegion(0, 16, 10); // below HI
     eng.decidePhase(tracker, pages, 1u << 20, 1);
@@ -675,7 +675,8 @@ TEST(DenseTables, RegionMoveSkipsPagesOutsideThePageMap)
     // the range) and moves just the mapped ones.
     RegionTracker tracker(16, 16, kRegion, kPartial);
     mem::PageMap pages(17, kPartial);
-    MigrationEngine engine(MigrationConfig{}, 16, true, kRegion, 42);
+    MigrationEngine engine(MigrationConfig{}, 16, true, kRegion,
+                           kPartial, 42);
     for (std::uint64_t p = 20; p < 28; ++p)
         pages.setHome(PageNum(p), 3);
     for (int s = 0; s < 16; ++s)

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "driver/experiment.hh"
@@ -115,8 +117,12 @@ TEST(TraceSim, FirstTouchSeedsPrivatePagesLocally)
     auto result = sim.run(trace);
     PageNum private_page =
         pageNumber(0x10000000 + 4 * pageBytes); // thread 0's page
-    auto it = result.checkpoints[0].pageHome.find(private_page);
-    ASSERT_NE(it, result.checkpoints[0].pageHome.end());
+    const auto &home = result.checkpoints[0].pageHome;
+    auto it = std::lower_bound(
+        home.begin(), home.end(), private_page,
+        [](const auto &e, PageNum p) { return e.first < p; });
+    ASSERT_NE(it, home.end());
+    EXPECT_EQ(it->first, private_page);
     EXPECT_EQ(it->second, 0);
 }
 
@@ -395,6 +401,22 @@ TEST(Checkpoints, LoadRejectsGarbage)
     ByteReader r(junk.data(), junk.size());
     TraceSimResult result;
     EXPECT_FALSE(result.deserialize(r));
+}
+
+TEST(Checkpoints, LoadRejectsNonIncreasingPages)
+{
+    auto loads = [](PageHomes home) {
+        TraceSimResult result;
+        result.checkpoints.resize(1);
+        result.checkpoints[0].pageHome = std::move(home);
+        std::vector<std::uint8_t> bytes = result.serialize();
+        ByteReader r(bytes.data(), bytes.size());
+        TraceSimResult loaded;
+        return loaded.deserialize(r);
+    };
+    EXPECT_TRUE(loads({{PageNum(0), 1}, {PageNum(4), 2}}));
+    EXPECT_FALSE(loads({{PageNum(4), 1}, {PageNum(4), 2}}));
+    EXPECT_FALSE(loads({{PageNum(4), 1}, {PageNum(3), 2}}));
 }
 
 TEST(TimingSim, IndependentPhasesAgreeQualitatively)

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -251,6 +254,18 @@ struct DifferentialCase
     int seed;
 };
 
+/**
+ * Prints the case by name. Without it gtest prints the object's
+ * bytes, which hold the name's run-time address, and the CTest
+ * names gtest_discover_tests derives from that text change with
+ * every run.
+ */
+void
+PrintTo(const DifferentialCase &tc, std::ostream *os)
+{
+    *os << tc.name;
+}
+
 class CacheDifferential
     : public ::testing::TestWithParam<DifferentialCase>
 {
@@ -312,10 +327,7 @@ INSTANTIATE_TEST_SUITE_P(
         DifferentialCase{"filter256k8w", {256 * 1024, 8}, 1},
         // A step-C socket LLC.
         DifferentialCase{"llc2m16w", {2 * 1024 * 1024, 16}, 2},
-        DifferentialCase{"tiny2w", {1024, 2}, 3}),
-    [](const ::testing::TestParamInfo<DifferentialCase> &param) {
-        return std::string(param.param.name);
-    });
+        DifferentialCase{"tiny2w", {1024, 2}, 3}));
 
 // --- DRAM ---
 
@@ -583,6 +595,139 @@ TEST_P(DirectorySharing, SharerCountMatchesReaders)
 
 INSTANTIATE_TEST_SUITE_P(UpToAllSockets, DirectorySharing,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+// --- Directory: differential test against a map-based model ---
+
+/** Directory's MESI rules over an ordered map. */
+struct ReferenceDirectory
+{
+    struct Entry
+    {
+        std::uint64_t sharerMask = 0;
+        NodeId owner = -1;
+    };
+
+    CoherenceResult
+    access(Addr block, NodeId requester, bool write, NodeId home)
+    {
+        CoherenceResult r;
+        Entry &e = entries[block];
+        std::uint64_t bit = 1ULL << requester;
+        if (e.owner >= 0 && e.owner != requester) {
+            r.blockTransfer = true;
+            r.owner = e.owner;
+            r.viaPool = home == poolNode;
+        }
+        if (write) {
+            r.invalidatedMask = e.sharerMask & ~bit;
+            r.invalidations = std::popcount(r.invalidatedMask);
+            e.sharerMask = bit;
+            e.owner = requester;
+        } else {
+            e.sharerMask |= bit;
+            e.owner = -1;
+        }
+        return r;
+    }
+
+    void
+    evict(Addr block, NodeId socket)
+    {
+        auto it = entries.find(block);
+        if (it == entries.end())
+            return;
+        it->second.sharerMask &= ~(1ULL << socket);
+        if (it->second.owner == socket)
+            it->second.owner = -1;
+        if (it->second.sharerMask == 0)
+            entries.erase(it);
+    }
+
+    NodeId poolNode = 16;
+    std::map<Addr, Entry> entries;
+};
+
+/**
+ * @p n blocks whose Fibonacci hash puts them in the last four slots
+ * of a fresh 1024-slot table (and at the end of every grown one),
+ * so their probe chains collide and wrap around to slot 0.
+ */
+std::vector<Addr>
+collidingBlocks(Rng &rng, std::size_t n)
+{
+    std::vector<Addr> out;
+    while (out.size() < n) {
+        Addr block = (rng.next64() >> 16) & ~Addr(blockBytes - 1);
+        if ((block * 0x9e3779b97f4a7c15ULL) >> 54 >= 1020)
+            out.push_back(block);
+    }
+    return out;
+}
+
+void
+expectSameBlock(const Directory &dir, const ReferenceDirectory &ref,
+                Addr block, int op)
+{
+    auto it = ref.entries.find(block);
+    bool tracked = it != ref.entries.end();
+    ASSERT_EQ(dir.cached(block), tracked) << "op " << op;
+    ASSERT_EQ(dir.sharers(block),
+              tracked ? std::popcount(it->second.sharerMask) : 0)
+        << "op " << op;
+    ASSERT_EQ(dir.dirtyOwner(block), tracked ? it->second.owner : -1)
+        << "op " << op;
+}
+
+TEST(DirectoryDifferential, MatchesMapReferenceModel)
+{
+    for (std::uint64_t seed : {1, 7, 42}) {
+        Rng rng(seed);
+        Directory dir(16);
+        ReferenceDirectory ref;
+        std::vector<Addr> hot = collidingBlocks(rng, 96);
+        std::vector<Addr> wide(3000);
+        for (Addr &b : wide)
+            b = (rng.next64() >> 16) & ~Addr(blockBytes - 1);
+        std::size_t peak = 0;
+        for (int op = 0; op < 200000; ++op) {
+            Addr block = rng.range32(4)
+                             ? hot[rng.range32(96)]
+                             : wide[rng.range32(3000)];
+            NodeId s = static_cast<NodeId>(rng.range32(16));
+            std::uint32_t kind = rng.range32(20000);
+            if (kind == 0) {
+                dir.reset();
+                ref.entries.clear();
+            } else if (kind < 11000) {
+                bool write = rng.range32(3) == 0;
+                NodeId home = static_cast<NodeId>(rng.range32(17));
+                CoherenceResult got = dir.access(block, s, write, home);
+                CoherenceResult want =
+                    ref.access(block, s, write, home);
+                ASSERT_EQ(got.blockTransfer, want.blockTransfer)
+                    << "op " << op;
+                ASSERT_EQ(got.owner, want.owner) << "op " << op;
+                ASSERT_EQ(got.viaPool, want.viaPool) << "op " << op;
+                ASSERT_EQ(got.invalidations, want.invalidations)
+                    << "op " << op;
+                ASSERT_EQ(got.invalidatedMask, want.invalidatedMask)
+                    << "op " << op;
+            } else {
+                dir.evict(block, s);
+                ref.evict(block, s);
+            }
+            expectSameBlock(dir, ref, block, op);
+            ASSERT_EQ(dir.trackedBlocks(), ref.entries.size())
+                << "op " << op;
+            peak = std::max(peak, ref.entries.size());
+            if (op % 50000 == 0)
+                for (Addr b : hot)
+                    expectSameBlock(dir, ref, b, op);
+        }
+        // The table grew past its initial 1024 slots.
+        EXPECT_GT(peak, 1024u) << "seed " << seed;
+    }
+}
 
 } // anonymous namespace
 } // namespace mem

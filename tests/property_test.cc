@@ -179,7 +179,7 @@ TEST_P(MigrationInvariants, PagesConservedAndPoolBounded)
     mem::PageMap pages(17, span);
     core::MigrationConfig cfg;
     cfg.migrationLimitPages = 64;
-    core::MigrationEngine engine(cfg, 16, true, region, seed);
+    core::MigrationEngine engine(cfg, 16, true, region, span, seed);
 
     Rng rng(seed);
     // Map every region somewhere.

@@ -95,6 +95,37 @@ TEST(Capture, PerThreadStreamsIndependent)
     EXPECT_EQ(t.perThread[1].size(), 1u);
 }
 
+TEST(Capture, WrittenPagesAscendAcrossAllocations)
+{
+    CaptureContext ctx(2);
+    Addr a = ctx.alloc(3 * pageBytes);
+    Addr b = ctx.alloc(pageBytes);
+    ctx.store(1, b);
+    ctx.store(0, a + 2 * pageBytes);
+    ctx.load(0, a + pageBytes); // reads do not mark pages
+    ctx.store(1, a);
+    ctx.store(0, a); // filter hits still mark their page
+    auto t = ctx.take("x", 1);
+    EXPECT_EQ(t.writtenPages,
+              (std::vector<PageNum>{pageNumber(a),
+                                    pageNumber(a + 2 * pageBytes),
+                                    pageNumber(b)}));
+}
+
+TEST(CaptureDeathTest, AccessOutsideAllocationPanics)
+{
+    CaptureContext ctx(1);
+    Addr a = ctx.alloc(pageBytes);
+    ctx.load(0, a + pageBytes - 1);
+    EXPECT_DEATH(ctx.load(0, a + pageBytes),
+                 "outside the capture's allocations");
+    EXPECT_DEATH(ctx.store(0, a - 1),
+                 "outside the capture's allocations");
+    ctx.beginSetup();
+    EXPECT_DEATH(ctx.store(0, a + pageBytes),
+                 "outside the capture's allocations");
+}
+
 TEST(Trace, RecordsPerKiloInstruction)
 {
     WorkloadTrace t;
