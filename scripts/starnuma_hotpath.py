@@ -198,7 +198,8 @@ def scan_hot_function(sf, f, graph, findings, seen_violations):
             elif t in ALLOC_FUNCS:
                 violation(line, "allocates ('%s')" % t)
             else:
-                targets = graph.resolve(t, *core.call_context(toks, j))
+                targets = graph.resolve(
+                    t, *core.call_context(toks, j), caller=f)
                 if targets:
                     if not line_annotated(sf, line,
                                           COLD_ANNOTATION):

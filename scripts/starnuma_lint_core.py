@@ -758,7 +758,8 @@ def call_context(toks, j):
     """(qual, receiver) of the call named at token @p j: ``X::f(``
     gives ("X", None), ``obj.f(``/``obj->f(`` gives (None, "obj"),
     ``obj[i].f(`` gives (None, "obj[]") (an element of a subscripted
-    container), anything else (None, None)."""
+    container), a member call on any other expression (None, ""),
+    and a bare call ``f(`` (None, None)."""
     if j < 2:
         return None, None
     prv, k, depth = toks[j - 1].text, j - 2, 0
@@ -776,7 +777,7 @@ def call_context(toks, j):
     if depth == 0 and k > 0 and toks[k].text == "[" and \
             is_ident(toks[k - 1].text):
         return None, toks[k - 1].text + "[]"
-    return None, None
+    return None, ""
 
 
 # Words a declaration regex may capture that are not variable names.
@@ -790,11 +791,13 @@ class CallGraph:
     """Name-based over-approximate call resolution: a simple name
     resolves to every indexed definition of that name; a qualified
     call ``X::f`` prefers definitions of class X; ``std::f`` with no
-    indexed definition resolves to nothing. A member call narrows to
-    the classes its receiver is declared with anywhere in the tree
-    (``Cls obj``, ``Cls<T> obj``, and ``std::vector<Cls> obj`` for
-    ``obj[i].f(``); a receiver of unknown type keeps every
-    candidate."""
+    indexed definition resolves to nothing. A bare call ``f(`` (or
+    ``this->f(``) inside a member function of class C resolves to
+    C's own definitions of f when C has any, as C++ name lookup
+    does. A member call narrows to the classes its receiver is
+    declared with anywhere in the tree (``Cls obj``, ``Cls<T> obj``,
+    and ``std::vector<Cls> obj`` for ``obj[i].f(``); a receiver of
+    unknown type keeps every candidate."""
 
     def __init__(self, tree, extra_classes=()):
         self.tree = tree
@@ -834,7 +837,9 @@ class CallGraph:
                             m.group(1))
         return out
 
-    def resolve(self, name, qual, recv=None):
+    def resolve(self, name, qual, recv=None, caller=None):
+        """Definitions a call to @p name may reach; @p caller is the
+        function the call is written in."""
         cands = self.by_name.get(name, [])
         if qual:
             exact = [f for f in cands
@@ -844,6 +849,11 @@ class CallGraph:
             if qual == "std":
                 return []
             return cands
+        own = class_of(caller) if caller else None
+        if own and recv in (None, "this"):
+            mine = [f for f in cands if class_of(f) == own]
+            if mine:
+                return mine
         owners = self.var_classes.get(recv) if recv else None
         if owners and len(cands) > 1:
             filt = [f for f in cands if class_of(f) in owners]

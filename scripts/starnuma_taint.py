@@ -366,7 +366,7 @@ class Analyzer:
                 targets = ()
                 if nxt == "(" and t not in core.NON_CALL_KEYWORDS:
                     qual, recv = core.call_context(toks, j)
-                    targets = self.graph.resolve(t, qual, recv)
+                    targets = self.graph.resolve(t, qual, recv, f)
                 elif nxt != "(" and t in self.graph.ctor_classes:
                     targets = self.graph.ctor_classes[t]
                 for tgt in targets:
@@ -484,7 +484,7 @@ class Analyzer:
                     fid, Flow(kind, sf.rel, line, (f.qualname,)))
             elif nxt == "(" and t not in core.NON_CALL_KEYWORDS:
                 qual, recv = core.call_context(toks, j)
-                for tgt in self.graph.resolve(t, qual, recv):
+                for tgt in self.graph.resolve(t, qual, recv, f):
                     if trusted(tgt.file_key):
                         continue
                     merge(out, self.fn_ret.get(id(tgt), {}),
@@ -654,7 +654,7 @@ class Analyzer:
                         self._slice_flows(sf, f, s, e, env)
                         for s, e in args]
                     qual, recv = core.call_context(toks, j)
-                    for tgt in self.graph.resolve(t, qual, recv):
+                    for tgt in self.graph.resolve(t, qual, recv, f):
                         if trusted(tgt.file_key):
                             continue
                         ps = self.params.get(id(tgt))

@@ -346,11 +346,7 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
         result.placement = trace_sim.run(trace);
     }
 
-    // §IV-A3 literally: one timing simulation per phase, fanned out
-    // over the worker pool and merged in phase order.
-    TimingOptions options;
-    options.independentPhases = true;
-    TimingSim timing(setup, scale, options);
+    TimingSim timing(setup, scale);
     {
         obs::TraceSpan span("timing-sim " + workload, "timingSim");
         result.metrics = timing.run(trace, result.placement);
@@ -400,10 +396,7 @@ runSingleSocket(const std::string &workload, const SimScale &scale)
     TraceSim trace_sim(setup, scale);
     TraceSimResult placement = trace_sim.run(trace);
 
-    TimingOptions options;
-    options.singleSocketLocal = true;
-    options.independentPhases = true;
-    TimingSim timing(setup, scale, options);
+    TimingSim timing(setup, scale, {.singleSocketLocal = true});
     RunMetrics m = timing.run(trace, placement);
 
     obs::StatsSink &sink = obs::StatsSink::global();

@@ -60,22 +60,29 @@ phasePrefix(int phase)
 }
 
 /**
- * Hardware state that persists across the run's phases: caches and
- * directory stay warm (the phases of one workload run on the same
- * machine); link and DRAM queue occupancy is reset per phase since
- * checkpoints are far apart in time.
+ * Hardware state of one phase's simulation. Every phase runs on a
+ * fresh machine built from its own checkpoint (§IV-A3): caches and
+ * directory start cold, so only the warmup window heats them; link
+ * and DRAM queues start empty; the page table holds the
+ * checkpoint's placement.
  */
 struct MachineState
 {
     MachineState(const SystemSetup &setup, const SimScale &scale,
                  const CoreModel &core, PageRange page_span,
-                 const std::vector<PageNum> &replicated_pages)
+                 const std::vector<PageNum> &replicated_pages,
+                 const Checkpoint &checkpoint)
         : topo(setup.sys), directory(setup.sys.sockets),
           pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0),
                 page_span),
           span(page_span), migrating(page_span.pages),
           replicated(page_span.pages)
     {
+        // The checkpoint's placement, over a page table sized to
+        // the trace's page span like step B's.
+        for (const auto &[page, home] : checkpoint.pageHome)
+            pages.setHome(page, home);
+
         // Replicated pages come from step B's replay of the same
         // trace, so they lie in the span; one outside it could
         // never be accessed here anyway.
@@ -95,19 +102,6 @@ struct MachineState
         }
         if (setup.sys.hasPool)
             mcs.emplace_back(setup.sys.poolChannels, dram_cfg);
-    }
-
-    void
-    newPhase(const Checkpoint &checkpoint)
-    {
-        topo.resetContention();
-        for (auto &mc : mcs)
-            mc.resetContention();
-        // Overlay this phase's checkpointed placement on the page
-        // table (sized to the trace's page span, like step B's).
-        for (const auto &[page, home] : checkpoint.pageHome)
-            pages.setHome(page, home);
-        std::fill(migrating.begin(), migrating.end(), Cycles());
     }
 
     /** Slot of trace page @p page in the dense per-page tables. */
@@ -148,10 +142,10 @@ struct MachineState
     // slot(page), like the PageMap (DESIGN.md §12).
     PageRange span;
     // Cycle at which each page's in-flight migration lands; Cycles()
-    // when none is in flight this phase (an arrival is never 0).
+    // when none is in flight (an arrival is never 0).
     std::vector<Cycles> migrating;
     // Mutable copy of the §V-F replication set: a write to a
-    // replicated page de-replicates it for the rest of the run.
+    // replicated page de-replicates it for the rest of the phase.
     std::vector<std::uint8_t> replicated;
 };
 
@@ -207,9 +201,8 @@ class PhaseSim
   public:
     PhaseSim(const SystemSetup &setup, const SimScale &scale,
              const TimingOptions &options, const CoreModel &core,
-             const trace::WorkloadTrace &trace,
-             const Checkpoint &checkpoint, int phase,
-             MachineState &machine);
+             const trace::WorkloadTrace &trace, PageRange page_span,
+             const TraceSimResult &placement, int phase);
 
     void run();
 
@@ -221,6 +214,9 @@ class PhaseSim
 
     /** Simulated cycles this phase covered. */
     Cycles horizon() const { return endCycle; }
+
+    /** The phase's machine, for component stats and diagnostics. */
+    const MachineState &machineState() const { return machine; }
 
     /** This phase's per-epoch telemetry (DESIGN.md §14): link
      *  utilization and DRAM request rate per pacer epoch, sampled
@@ -309,12 +305,7 @@ class PhaseSim
     Cycles onChip;
 
     EventQueue<StepEvent> q;
-    MachineState &machine;
-    topology::Topology &topo;
-    std::vector<mem::Cache> &llcs;
-    std::vector<mem::MemoryController> &mcs;
-    mem::Directory &directory;
-    mem::PageMap &pages;
+    MachineState machine;
     std::vector<CoreState> cores;
     std::vector<Outstanding> outstanding; ///< every core's ring
     int phase_;
@@ -349,7 +340,6 @@ class PhaseSim
     stats::Mean statLatency;
     stats::Mean statMigStall;
     std::uint64_t statShootdownPages = 0;
-    std::uint64_t statCoherence0 = 0;
     Cycles endCycle;
 };
 
@@ -360,8 +350,8 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
                    const TimingOptions &timing_options,
                    const CoreModel &core_model,
                    const trace::WorkloadTrace &workload_trace,
-                   const Checkpoint &checkpoint, int phase,
-                   MachineState &machine_state)
+                   PageRange page_span,
+                   const TraceSimResult &placement, int phase)
     : setup(system_setup), scale(sim_scale),
       options(timing_options), core(core_model),
       trace(workload_trace),
@@ -372,13 +362,12 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
       q(static_cast<std::size_t>(sim_scale.threads()) *
             static_cast<std::size_t>(core_model.mshrs + 2) +
         64),
-      machine(machine_state), topo(machine.topo),
-      llcs(machine.llcs), mcs(machine.mcs),
-      directory(machine.directory), pages(machine.pages),
+      machine(system_setup, sim_scale, core_model, page_span,
+              placement.replication.replicated,
+              placement.checkpoints[phase]),
       phase_(phase), lightCpi(core.baseCpi * 2)
 {
-    machine.newPhase(checkpoint);
-    statCoherence0 = directory.transactions();
+    const Checkpoint &checkpoint = placement.checkpoints[phase];
     tracing = obs::TraceSession::global().enabled();
     sampling = tracing || obs::TimeSeriesSink::global().enabled();
 
@@ -429,7 +418,7 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
         2;
     linkStream.fill(noStream);
     std::array<int, 3> link_types{};
-    for (const auto &link : topo.links())
+    for (const auto &link : machine.topo.links())
         ++link_types[static_cast<int>(link.type())];
     for (int k = 0; k < 3; ++k) {
         if (!link_types[k])
@@ -521,9 +510,9 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
     Cycles chunk_time = t;
     for (int p = 0; p < pages_n; ++p) {
         PageNum page = first_page + PageNum(p);
-        if (pages.home(page) == mem::invalidNode)
+        if (machine.pages.home(page) == mem::invalidNode)
             continue;
-        pages.setHome(page, to);
+        machine.pages.setHome(page, to);
         ++statShootdownPages;
         if (options.softwareShootdowns) {
             // Conventional shootdown: every core takes an IPI and
@@ -534,11 +523,11 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
                                model.softwareCostPerCore;
         }
         Addr byte = pageBase(page);
-        for (auto &llc : llcs)
+        for (auto &llc : machine.llcs)
             llc.invalidatePage(byte);
         for (Addr b = byte; b < byte + pageBytes; b += blockBytes)
             for (NodeId s = 0; s < setup.sys.sockets; ++s)
-                directory.evict(b, s);
+                machine.directory.evict(b, s);
 
         for (int ch = 0; ch < chunks_per_page; ++ch) {
             chunk_time += chunk_gap;
@@ -552,7 +541,7 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
         // Conservative availability estimate until the last chunk
         // lands (replaced by the actual arrival, see dispatch()).
         machine.migrating[machine.slot(page)] =
-            chunk_time + topo.unloadedOneWay(from, to);
+            chunk_time + machine.topo.unloadedOneWay(from, to);
     }
 }
 
@@ -611,7 +600,7 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
     PageNum page = pageNumber(vaddr);
 
     NodeId home =
-        options.singleSocketLocal ? s : pages.touch(page, s);
+        options.singleSocketLocal ? s : machine.pages.touch(page, s);
 
     // §V-F replication: reads of a replicated page hit the local
     // replica; a write invalidates every replica (broadcast) and
@@ -623,19 +612,19 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
             for (NodeId x = 0; x < setup.sys.sockets; ++x) {
                 if (x == s)
                     continue;
-                topo.send(s, x, t, topology::ctrlBytes);
-                llcs[x].invalidatePage(pageBase(page));
+                machine.topo.send(s, x, t, topology::ctrlBytes);
+                machine.llcs[x].invalidatePage(pageBase(page));
             }
         } else {
             home = s;
         }
     }
 
-    auto coh = directory.access(block, s, write, home);
+    auto coh = machine.directory.access(block, s, write, home);
     if (coh.invalidatedMask) {
         for (NodeId x = 0; x < setup.sys.sockets; ++x)
             if (coh.invalidatedMask & (1ULL << x))
-                llcs[x].invalidate(block);
+                machine.llcs[x].invalidate(block);
     }
 
     // The request travels to the home (the pool for a 4-hop
@@ -651,14 +640,14 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
         // -> R (Fig 4).
         ev.type = coh.viaPool ? AccessType::BtPool : AccessType::BtSocket;
         if (coh.viaPool)
-            ev.home = topo.poolNode();
+            ev.home = machine.topo.poolNode();
         ev.owner = coh.owner;
     } else {
-        switch (topo.classify(s, home)) {
+        switch (machine.topo.classify(s, home)) {
           case topology::AccessClass::Local:
             ev.kind = EventKind::Complete;
             ev.type = AccessType::Local;
-            q.schedule(mcs[s].access(t + onChip, block), ev);
+            q.schedule(machine.mcs[s].access(t + onChip, block), ev);
             return;
           case topology::AccessClass::OneHop:
             ev.type = AccessType::OneHop;
@@ -672,7 +661,7 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
         }
     }
     ev.kind = EventKind::AtHome;
-    q.schedule(topo.send(s, ev.home, t, topology::ctrlBytes), ev);
+    q.schedule(machine.topo.send(s, ev.home, t, topology::ctrlBytes), ev);
 }
 
 void
@@ -685,7 +674,7 @@ PhaseSim::dispatch(const StepEvent &ev)
     auto hop = [&](EventKind kind, NodeId from, NodeId to,
                    Addr bytes) {
         next.kind = kind;
-        q.schedule(topo.send(from, to, now, bytes), next);
+        q.schedule(machine.topo.send(from, to, now, bytes), next);
     };
     switch (ev.kind) {
       case EventKind::Issue: {
@@ -703,13 +692,13 @@ PhaseSim::dispatch(const StepEvent &ev)
         break;
       case EventKind::MigrationChunk: {
         Cycles arr =
-            topo.send(ev.home, ev.owner, now, migrationChunkBytes);
+            machine.topo.send(ev.home, ev.owner, now, migrationChunkBytes);
         if (ev.flag)
             machine.migrating[machine.slot(pageNumber(ev.addr))] = arr;
         break;
       }
       case EventKind::Writeback:
-        mcs[ev.home].access(now, ev.addr);
+        machine.mcs[ev.home].access(now, ev.addr);
         break;
       case EventKind::MissResume:
         missAfterStall(cores[ev.core], ev.addr, ev.flag, ev.instr,
@@ -717,7 +706,7 @@ PhaseSim::dispatch(const StepEvent &ev)
         break;
       case EventKind::AtHome:
         next.kind = EventKind::HomeRead;
-        q.schedule(mcs[ev.home].access(now + onChip, ev.addr), next);
+        q.schedule(machine.mcs[ev.home].access(now + onChip, ev.addr), next);
         break;
       case EventKind::HomeRead:
         if (ev.type == AccessType::BtSocket ||
@@ -825,7 +814,7 @@ PhaseSim::issueNext(CoreState &c)
 
     // LLC lookup happens inline; only misses travel.
     NodeId s = c.socket;
-    auto look = llcs[s].access(r.vaddr(), r.isWrite());
+    auto look = machine.llcs[s].access(r.vaddr(), r.isWrite());
     ++c.idx;
     std::uint64_t this_instr = r.instr;
 
@@ -836,8 +825,8 @@ PhaseSim::issueNext(CoreState &c)
     if (c.idx < c.end) {
         const trace::MemRecord &next = trace.perThread[c.thread][c.idx];
         next_instr = next.instr;
-        llcs[s].prefetch(next.vaddr());
-        directory.prefetch(blockAddr(next.vaddr()));
+        machine.llcs[s].prefetch(next.vaddr());
+        machine.directory.prefetch(blockAddr(next.vaddr()));
     }
     std::uint64_t gap =
         next_instr > this_instr ? next_instr - this_instr : 1;
@@ -858,16 +847,16 @@ PhaseSim::issueNext(CoreState &c)
     ++missCount;
     // Victim handling: directory + writeback traffic.
     if (look.evicted) {
-        directory.evict(look.victim, s);
+        machine.directory.evict(look.victim, s);
         if (look.victimDirty) {
             NodeId vh = options.singleSocketLocal
                             ? s
-                            : pages.home(pageNumber(look.victim));
+                            : machine.pages.home(pageNumber(look.victim));
             if (vh == s) {
-                mcs[s].access(t, look.victim);
+                machine.mcs[s].access(t, look.victim);
             } else if (vh != mem::invalidNode) {
                 Cycles arr =
-                    topo.send(s, vh, t, topology::dataBytes);
+                    machine.topo.send(s, vh, t, topology::dataBytes);
                 q.schedule(arr, StepEvent{.kind = EventKind::Writeback,
                                           .home = vh,
                                           .addr = look.victim});
@@ -876,7 +865,7 @@ PhaseSim::issueNext(CoreState &c)
     }
     // Tracker metadata update traffic (StarNUMA only).
     if (setup.sys.hasPool && (missCount % metadataWritePeriod) == 0)
-        mcs[s].access(t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
+        machine.mcs[s].access(t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
 
     sn_assert(c.inFlight < core.mshrs, "core %d over its MSHRs",
               c.thread);
@@ -971,7 +960,7 @@ PhaseSim::sampleEpoch(bool emit_trace)
     using topology::Dir;
     std::array<std::uint64_t, 3> busy{};
     std::array<int, 3> cnt{};
-    for (const auto &link : topo.links()) {
+    for (const auto &link : machine.topo.links()) {
         int k = static_cast<int>(link.type());
         for (Dir d : {Dir::Forward, Dir::Backward}) {
             busy[k] += link.busyCycles(d).value();
@@ -988,7 +977,7 @@ PhaseSim::sampleEpoch(bool emit_trace)
         lastLinkBusy[k] = busy[k];
     }
     std::uint64_t req = 0;
-    for (const auto &mc : mcs)
+    for (const auto &mc : machine.mcs)
         req += mc.requests();
     series.sample(dramStream, t,
                   static_cast<double>(req - lastDramRequests));
@@ -1064,7 +1053,6 @@ PhaseSim::run()
         statCycles +=
             c.doneCycle > start ? c.doneCycle - start : Cycles(1);
     }
-    statCoherence0 = directory.transactions() - statCoherence0;
     endCycle = q.now();
 }
 
@@ -1086,7 +1074,7 @@ PhaseSim::accumulate(RunMetrics &m) const
                       : 0.0;
     for (int i = 0; i < accessTypes; ++i)
         m.mix[i] += static_cast<double>(statMix[i]); // raw counts
-    m.coherenceTransactions += statCoherence0;
+    m.coherenceTransactions += machine.directory.transactions();
     m.blockTransfers +=
         statMix[static_cast<int>(AccessType::BtSocket)] +
         statMix[static_cast<int>(AccessType::BtPool)];
@@ -1107,7 +1095,9 @@ PhaseSim::registerStats(obs::Registry &r) const
     r.addCounter("llcHits", &statLlcHits);
     r.addCounter("detailedMisses", &statDetailedMisses);
     r.addCounter("shootdownPages", &statShootdownPages);
-    r.addCounter("coherenceTransactions", &statCoherence0);
+    r.addCounterFn("coherenceTransactions", [this] {
+        return machine.directory.transactions();
+    });
     r.addCounterFn("horizonCycles",
                    [this] { return endCycle.value(); });
     r.addCounterFn("events", [this] { return q.executed(); });
@@ -1141,92 +1131,48 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     RunMetrics m;
     stats_ = obs::Snapshot();
     timeseries_ = obs::TimeSeries();
-    Cycles total_horizon;
-    std::unique_ptr<MachineState> shared_machine;
-    std::unique_ptr<MachineState> last_machine;
     const PageRange page_span = trace::pageSpan(trace);
 
-    if (options.independentPhases) {
-        // §IV-A3 literally: N independent timing simulations, one
-        // per phase, fanned out over the fixed-size worker pool.
-        // Each phase owns its machine state and event queue, and the
-        // accumulation below walks the phases in canonical order, so
-        // the merged metrics are bitwise-identical for any pool size.
-        std::vector<std::unique_ptr<MachineState>> machines;
-        std::vector<std::unique_ptr<PhaseSim>> sims;
-        for (int phase = 0; phase < scale.phases; ++phase) {
-            machines.push_back(std::make_unique<MachineState>(
-                setup, scale, core, page_span,
-                placement.replication.replicated));
-            sims.push_back(std::make_unique<PhaseSim>(
-                setup, scale, options, core, trace,
-                placement.checkpoints[phase], phase,
-                *machines.back()));
+    // §IV-A3 literally: N independent timing simulations, one per
+    // phase, fanned out over the fixed-size worker pool. Each phase
+    // owns its machine state and event queue, and the accumulation
+    // below walks the phases in canonical order, so the merged
+    // metrics, snapshot and series are bitwise-identical for any
+    // pool size.
+    std::vector<std::unique_ptr<PhaseSim>> sims;
+    for (int phase = 0; phase < scale.phases; ++phase)
+        sims.push_back(std::make_unique<PhaseSim>(
+            setup, scale, options, core, trace, page_span, placement,
+            phase));
+    ThreadPool::global().parallelFor(
+        sims.size(), [&sims](std::size_t i) {
+            obs::TraceSpan span(
+                "phase " + std::to_string(i), "timing",
+                obs::TraceArgs()
+                    .add("phase", static_cast<int>(i))
+                    .str());
+            sims[i]->run();
+        });
+    const bool collect = obs::StatsSink::global().enabled();
+    const bool collect_ts = obs::TimeSeriesSink::global().enabled();
+    Cycles total_horizon;
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+        sims[i]->accumulate(m);
+        total_horizon += sims[i]->horizon();
+        if (collect) {
+            obs::Registry reg;
+            sims[i]->registerStats(reg);
+            stats_.merge(phasePrefix(static_cast<int>(i)),
+                         reg.snapshot());
         }
-        ThreadPool::global().parallelFor(
-            sims.size(), [&sims](std::size_t i) {
-                obs::TraceSpan span(
-                    "phase " + std::to_string(i), "timing",
-                    obs::TraceArgs()
-                        .add("phase", static_cast<int>(i))
-                        .str());
-                sims[i]->run();
-            });
-        // Phase order is canonical here, so the merged snapshot and
-        // series are identical for any pool size.
-        const bool collect = obs::StatsSink::global().enabled();
-        const bool collect_ts =
-            obs::TimeSeriesSink::global().enabled();
-        for (std::size_t i = 0; i < sims.size(); ++i) {
-            sims[i]->accumulate(m);
-            total_horizon += sims[i]->horizon();
-            if (collect) {
-                obs::Registry reg;
-                sims[i]->registerStats(reg);
-                stats_.merge(phasePrefix(static_cast<int>(i)),
-                             reg.snapshot());
-            }
-            if (collect_ts)
-                timeseries_.merge(phasePrefix(static_cast<int>(i)),
-                                  sims[i]->timeseries());
-        }
-        last_machine = std::move(machines.back());
-    } else {
-        shared_machine = std::make_unique<MachineState>(
-            setup, scale, core, page_span,
-            placement.replication.replicated);
-        const bool collect = obs::StatsSink::global().enabled();
-        const bool collect_ts =
-            obs::TimeSeriesSink::global().enabled();
-        for (int phase = 0; phase < scale.phases; ++phase) {
-            PhaseSim sim(setup, scale, options, core, trace,
-                         placement.checkpoints[phase], phase,
-                         *shared_machine);
-            {
-                obs::TraceSpan span(
-                    "phase " + std::to_string(phase), "timing",
-                    obs::TraceArgs().add("phase", phase).str());
-                sim.run();
-            }
-            sim.accumulate(m);
-            total_horizon += sim.horizon();
-            if (collect) {
-                obs::Registry reg;
-                sim.registerStats(reg);
-                stats_.merge(phasePrefix(phase), reg.snapshot());
-            }
-            if (collect_ts)
-                timeseries_.merge(phasePrefix(phase),
-                                  sim.timeseries());
-        }
+        if (collect_ts)
+            timeseries_.merge(phasePrefix(static_cast<int>(i)),
+                              sims[i]->timeseries());
     }
-    MachineState &machine =
-        options.independentPhases ? *last_machine
-                                  : *shared_machine;
+    const MachineState &machine = sims.back()->machineState();
 
-    // Component-level stats of the surviving machine (independent
-    // phases: the last phase's machine; sequential: cumulative).
-    if (obs::StatsSink::global().enabled()) {
+    // Component-level stats of the last phase's machine.
+    if (collect) {
         obs::Registry reg;
         machine.registerStats(reg);
         stats_.merge("machine.", reg.snapshot());

@@ -45,15 +45,6 @@ struct TimingOptions
      * migrated page) instead of the DiDi-style hardware support.
      */
     bool softwareShootdowns = false;
-
-    /**
-     * Run each phase on its own machine state, concurrently when
-     * the host has spare cores — the paper's literal "N parallel
-     * timing simulations" (§IV-A3). Caches start cold each phase
-     * (only the warmup window heats them); the default sequential
-     * mode instead carries cache/directory state across phases.
-     */
-    bool independentPhases = false;
 };
 
 /** Core-model parameters (Table I, scaled per Table II). */
@@ -92,17 +83,21 @@ class TimingSim
     /**
      * Simulate the detail window of every checkpoint phase and
      * aggregate (§IV-A3: statistics are aggregated across the
-     * simulation of all checkpoints).
+     * simulation of all checkpoints). Each phase is an independent
+     * simulation on a fresh machine built from its checkpoint; the
+     * phases run concurrently on the worker pool and merge in phase
+     * order, so the result does not depend on the pool size.
      */
     RunMetrics run(const trace::WorkloadTrace &trace,
                    const TraceSimResult &placement);
 
     /**
-     * Detailed per-phase/per-component statistics (obs registry
-     * snapshots taken during the last run()). Populated only while
-     * the StatsSink is enabled; empty otherwise. Kept out of
-     * RunMetrics so that stays trivially copyable (tests compare
-     * runs by memcmp).
+     * Detailed statistics of the last run(): each phase's counters
+     * under a "phaseNN." prefix, and the component stats (links,
+     * LLCs, DRAM, directory) of the last phase's machine under
+     * "machine.". Populated only while the StatsSink is enabled;
+     * empty otherwise. Kept out of RunMetrics so that stays
+     * trivially copyable (tests compare runs by memcmp).
      */
     const obs::Snapshot &stats() const { return stats_; }
 

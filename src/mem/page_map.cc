@@ -13,7 +13,6 @@ PageMap::PageMap(int nodes, PageRange range)
       counts(nodes, 0), firstTouch(0)
 {
     sn_assert(nodes > 0, "page map needs at least one node");
-    order.reserve(range.pages);
 }
 
 void
@@ -23,12 +22,19 @@ PageMap::setHome(PageNum page, NodeId node)
                   static_cast<std::size_t>(node) < counts.size(),
               "migrating page to unknown node %d", node);
     NodeId &h = homes[slotOf(page)];
-    if (h == invalidNode)
-        order.push_back(page);
-    else
+    if (h != invalidNode)
         --counts[h];
     h = node;
     ++counts[node];
+}
+
+std::uint64_t
+PageMap::totalPages() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t n : counts)
+        total += n;
+    return total;
 }
 
 std::uint64_t

@@ -8,10 +8,8 @@
  * Storage is a flat page table over the page range given at
  * construction — a plain array indexed by (page - base), since
  * traces captured against the simulator's bump allocator cover one
- * contiguous range (trace::pageSpan). A side vector keeps
- * first-mapping order so forEach() iterates deterministically.
- * Mapping a page outside the range panics; looking one up reads as
- * unmapped.
+ * contiguous range (trace::pageSpan). Mapping a page outside the
+ * range panics; looking one up reads as unmapped.
  */
 
 #ifndef STARNUMA_MEM_PAGE_MAP_HH
@@ -20,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/annotations.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -68,7 +65,6 @@ class PageMap
             h = toucher;
             ++counts[toucher];
             ++firstTouch;
-            noteFirstTouch(page);
         }
         return h;
     }
@@ -80,35 +76,12 @@ class PageMap
     std::uint64_t pagesAt(NodeId node) const;
 
     /** Total mapped pages. */
-    std::uint64_t totalPages() const { return order.size(); }
+    std::uint64_t totalPages() const;
 
     /** Pages whose initial placement came from first touch. */
     std::uint64_t firstTouchPages() const { return firstTouch; }
 
-    /** Visit every (page, home) entry, in insertion order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (PageNum page : order)
-            fn(page, homes[range_.slot(page)]);
-    }
-
   private:
-    /**
-     * Out-of-line first-touch append: keeps the vector's
-     * reallocation machinery (and its operator new call) out of the
-     * touch() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity for the whole range is
-     * reserved at construction, so the push never reallocates.
-     */
-    // lint: cold-path capacity reserved in the constructor
-    STARNUMA_COLD_PATH void
-    noteFirstTouch(PageNum page)
-    {
-        order.push_back(page);
-    }
-
     /** Table slot of @p page (panics when out of range). */
     std::uint64_t
     slotOf(PageNum page) const
@@ -121,8 +94,7 @@ class PageMap
     }
 
     PageRange range_;
-    std::vector<NodeId> homes;  // home per slot, invalidNode if unmapped
-    std::vector<PageNum> order; // first-mapping order
+    std::vector<NodeId> homes; // home per slot, invalidNode if unmapped
     std::vector<std::uint64_t> counts;
     std::uint64_t firstTouch;
 };
