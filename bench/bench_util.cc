@@ -1,7 +1,5 @@
 #include "bench_util.hh"
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,99 +41,6 @@ benchScale()
         s.phaseInstructions = 100000;
     }
     return s;
-}
-
-namespace
-{
-
-std::string
-scaleKey(const SimScale &s)
-{
-    return std::to_string(s.threads()) + ":" +
-           std::to_string(s.phases) + ":" +
-           std::to_string(s.phaseInstructions) + ":" +
-           std::to_string(s.detailFraction);
-}
-
-std::string
-runKey(const std::string &workload,
-       const driver::SystemSetup &setup, const SimScale &scale)
-{
-    return workload + "/" + setup.name + "/" + scaleKey(scale) +
-           "/r" + std::to_string(setup.regionBytes);
-}
-
-std::map<std::string, driver::ExperimentResult> &
-runMemo()
-{
-    static std::map<std::string, driver::ExperimentResult> memo;
-    return memo;
-}
-
-std::map<std::string, driver::RunMetrics> &
-singleSocketMemo()
-{
-    static std::map<std::string, driver::RunMetrics> memo;
-    return memo;
-}
-
-} // anonymous namespace
-
-void
-prewarm(const std::vector<driver::SweepJob> &jobs)
-{
-    std::vector<driver::ExperimentResult> results =
-        driver::runSweep(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const driver::SweepJob &job = jobs[i];
-        if (job.singleSocket)
-            singleSocketMemo().emplace(
-                job.workload + "/" + scaleKey(job.scale),
-                std::move(results[i].metrics));
-        else
-            runMemo().emplace(
-                runKey(job.workload, job.setup, job.scale),
-                std::move(results[i]));
-    }
-}
-
-const driver::ExperimentResult &
-cachedRun(const std::string &workload,
-          const driver::SystemSetup &setup, const SimScale &scale)
-{
-    auto &memo = runMemo();
-    std::string key = runKey(workload, setup, scale);
-    auto it = memo.find(key);
-    if (it == memo.end())
-        it = memo.emplace(key, driver::runExperiment(
-                                   workload, setup, scale))
-                 .first;
-    return it->second;
-}
-
-const driver::RunMetrics &
-cachedSingleSocket(const std::string &workload,
-                   const SimScale &scale)
-{
-    auto &memo = singleSocketMemo();
-    std::string key = workload + "/" + scaleKey(scale);
-    auto it = memo.find(key);
-    if (it == memo.end())
-        it = memo.emplace(key,
-                          driver::runSingleSocket(workload, scale))
-                 .first;
-    return it->second;
-}
-
-double
-speedupOverBaseline(const std::string &workload,
-                    const driver::SystemSetup &setup,
-                    const SimScale &scale)
-{
-    const auto &base = cachedRun(
-        workload, driver::SystemSetup::baseline(), scale);
-    const auto &run = cachedRun(workload, setup, scale);
-    return run.metrics.speedupOver(base.metrics);
 }
 
 std::vector<std::string>
@@ -260,19 +165,6 @@ initBench(int *argc, char **argv)
             benchJsonPath = v;
     if (!benchJsonPath.empty())
         std::atexit(writeBenchJson);
-}
-
-int
-runBenchmarks(int argc, char **argv)
-{
-    initBench(&argc, argv);
-
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-    return 0;
 }
 
 } // namespace benchutil

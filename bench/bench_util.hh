@@ -1,13 +1,13 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches. Each
- * bench binary registers one google-benchmark entry per evaluated
- * configuration (Iterations(1) — the simulations are deterministic)
- * and prints a paper-style table after the benchmark report.
- * Experiment results are memoized per process. Set
- * STARNUMA_CACHE_DIR to share traces and results across bench
- * binaries through the artifact store (scripts/reproduce.sh does),
- * so the suite captures each workload once.
+ * Shared helpers for the benches. bench_reproduce prints every
+ * paper figure and table as a titled section (printSection) at
+ * benchScale(); the google-benchmark microbenches (components,
+ * replay throughput, incremental sweep) run through runBenchmarks(),
+ * which only they link. Every bench records its headline numbers
+ * with recordResult() for --bench-json, and initBench() turns on
+ * the observability sinks. Set STARNUMA_CACHE_DIR to share traces
+ * and results across processes through the artifact store.
  */
 
 #ifndef STARNUMA_BENCH_BENCH_UTIL_HH
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/experiment.hh"
 #include "driver/sweep.hh"
 
 namespace starnuma
@@ -36,29 +35,6 @@ bool fastMode();
 /** The scale benches run at (SimScale::sc1, shrunk in fast mode). */
 SimScale benchScale();
 
-/**
- * Fan @p jobs out across the worker pool (driver::runSweep) and
- * memoize every result, so subsequent cachedRun/cachedSingleSocket
- * calls for the same configurations are hits. The sweep results are
- * bitwise-identical to running each entry serially; the bench binary
- * just reaches them as fast as the hardware allows.
- */
-void prewarm(const std::vector<driver::SweepJob> &jobs);
-
-/** Memoized full-pipeline run. */
-const driver::ExperimentResult &cachedRun(
-    const std::string &workload, const driver::SystemSetup &setup,
-    const SimScale &scale);
-
-/** Memoized single-socket reference run (Table III). */
-const driver::RunMetrics &cachedSingleSocket(
-    const std::string &workload, const SimScale &scale);
-
-/** Speedup of @p setup over the baseline system. */
-double speedupOverBaseline(const std::string &workload,
-                           const driver::SystemSetup &setup,
-                           const SimScale &scale);
-
 /** The workloads evaluated by the paper-wide benches. */
 std::vector<std::string> benchWorkloads();
 
@@ -72,7 +48,7 @@ void recordResult(const std::string &key, double value);
 
 /**
  * Consume the observability flags and start the wall-time clock.
- * Call first thing in main(), before prewarm(), so stats/trace
+ * Call first thing in main(), before any sweep, so stats/trace
  * capture the sweep itself. Idempotent; runBenchmarks() calls it as
  * a fallback. Flags handled (removed from argv):
  *
@@ -92,7 +68,8 @@ void initBench(int *argc, char **argv);
 
 /**
  * Register the standard `--benchmark_*` flags, run the registered
- * benchmarks, and return as main() would.
+ * benchmarks, and return as main() would. Defined in
+ * gbench_runner.cc, which links google-benchmark.
  */
 int runBenchmarks(int argc, char **argv);
 

@@ -11,17 +11,14 @@ cd "$(dirname "$0")/.."
 if [ ! -d build ]; then
     cmake -B build -G Ninja
 fi
-cmake --build build --target bench_fig08_main_results \
-    bench_table3_workloads bench_replay_throughput \
-    bench_sweep_incremental
+cmake --build build --target bench_reproduce \
+    bench_replay_throughput bench_sweep_incremental
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-STARNUMA_BENCH_FAST=1 ./build/bench/bench_fig08_main_results \
-    --bench-json="$tmp/fig08.json" >/dev/null
-STARNUMA_BENCH_FAST=1 ./build/bench/bench_table3_workloads \
-    --bench-json="$tmp/table3.json" >/dev/null
+STARNUMA_BENCH_FAST=1 ./build/bench/bench_reproduce fig08 table3 \
+    --bench-json="$tmp/reproduce.json" >/dev/null
 # Replay throughput is wall-clock sensitive; measure best-of-3 so
 # the committed baseline is the same statistic the CI bench guard
 # (scripts/run_ci.sh) later measures — interference only ever
@@ -37,7 +34,7 @@ STARNUMA_CACHE_DIR="$tmp/sweep_cache" STARNUMA_BENCH_FAST=1 \
     ./build/bench/bench_sweep_incremental \
     --bench-json="$tmp/sweep.json" >/dev/null
 
-python3 - "$tmp/fig08.json" "$tmp/table3.json" \
+python3 - "$tmp/reproduce.json" \
     "$tmp"/replay[123].json "$tmp/sweep.json" <<'EOF'
 import json
 import os

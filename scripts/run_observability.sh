@@ -1,6 +1,6 @@
 #!/bin/sh
 # Smoke-test the observability pipeline end to end: build, run one
-# traced fast-mode experiment sweep (the Fig. 8 bench), and assert
+# traced fast-mode experiment sweep (bench_reproduce fig08), and assert
 # that every artifact exists and parses —
 #   stats.json       deterministic stats snapshot
 #                    (STARNUMA_STATS_OUT)
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 if [ ! -d build ]; then
     cmake -B build -G Ninja
 fi
-cmake --build build --target bench_fig08_main_results
+cmake --build build --target bench_reproduce
 
 out=${STARNUMA_OBS_DIR:-obs_out}
 mkdir -p "$out"
@@ -30,7 +30,7 @@ STARNUMA_STATS_OUT="$out/stats.json" \
 STARNUMA_TRACE_OUT="$out/trace.json" \
 STARNUMA_TIMESERIES_OUT="$out/timeseries.json" \
 STARNUMA_AUDIT_OUT="$out/audit.csv" \
-    ./build/bench/bench_fig08_main_results >/dev/null
+    ./build/bench/bench_reproduce fig08 >/dev/null
 
 python3 - "$out/stats.json" "$out/trace.json" \
     "$out/timeseries.json" "$out/audit.csv" <<'EOF'

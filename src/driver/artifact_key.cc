@@ -118,10 +118,10 @@ topologyFingerprint(const topology::SystemConfig &sys)
 
 /**
  * Placement/migration policy identity: every core::MigrationConfig
- * knob plus the setup-level region size, placement mode and
- * replication policy. The deliberately excluded field is the
- * setup's display *name* — identical configurations under
- * different names share artifacts.
+ * knob plus the setup-level region size, placement mode,
+ * replication policy and TLB-shootdown model. The deliberately
+ * excluded field is the setup's display *name* — identical
+ * configurations under different names share artifacts.
  */
 std::string
 policyFingerprint(const SystemSetup &setup)
@@ -158,6 +158,9 @@ policyFingerprint(const SystemSetup &setup)
               setup.replication.sharerThreshold));
     field(t, "replicationCapacityBudget",
           setup.replication.capacityBudget);
+    field(t, "softwareShootdowns",
+          static_cast<std::uint64_t>(
+              setup.softwareShootdowns ? 1 : 0));
     return fingerprint(t);
 }
 
@@ -217,6 +220,21 @@ resultKeyText(const std::string &workload,
           static_cast<std::uint64_t>(1));
     field(k, "code.epoch", cas::codeEpoch("pipeline"));
     envFields(k);
+    return k;
+}
+
+std::string
+cellKeyText(const std::string &workload, const SystemSetup &setup,
+            const SimScale &scale, bool single_socket)
+{
+    std::string k;
+    field(k, "workload.name", workload);
+    field(k, "scale", scaleFingerprint(scale));
+    field(k, "setup.topology", topologyFingerprint(setup.sys));
+    field(k, "setup.policy", policyFingerprint(setup));
+    field(k, "setup.name", setup.name);
+    field(k, "singleSocket",
+          static_cast<std::uint64_t>(single_socket ? 1 : 0));
     return k;
 }
 

@@ -42,6 +42,18 @@ std::string resultKeyText(const std::string &workload,
                           const cas::Hash128 &trace_content,
                           bool stats_enabled);
 
+/**
+ * Identity of one sweep cell (driver::runSweep runs each distinct
+ * one once): the inputs resultKeyText takes from the job —
+ * workload, scale, setup topology and policy, and the setup name,
+ * which seeds step B's RNG — plus the single-socket bit. The trace
+ * content and code epoch are fixed within a process, so they are
+ * left out.
+ */
+std::string cellKeyText(const std::string &workload,
+                        const SystemSetup &setup,
+                        const SimScale &scale, bool single_socket);
+
 } // namespace driver
 } // namespace starnuma
 

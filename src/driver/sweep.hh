@@ -3,17 +3,19 @@
  * Parallel experiment sweeps: fan whole (workload, system, scale)
  * pipelines out across sim/parallel.hh's worker pool, the way the
  * paper's evaluation runs its dozens of independent configuration
- * pipelines (§IV, §V). Each entry is an independent runExperiment
- * call; the memoized trace cache guarantees one capture per
- * (workload, scale) no matter how many entries share it, and
- * results return in the caller's entry order — so a sweep's output
- * is bitwise-identical to running the same entries serially.
+ * pipelines (§IV, §V). Each distinct entry is an independent
+ * runExperiment call; the memoized trace cache guarantees one
+ * capture per (workload, scale) no matter how many entries share
+ * it, and results return in the caller's entry order — so a
+ * sweep's output is bitwise-identical to running the same entries
+ * serially.
  *
  * Locking contract (DESIGN.md §10): this layer owns no mutex. All
  * cross-thread state lives behind ThreadPool's annotated Mutex
  * (sim/parallel.hh) and experiment.cc's trace-memo Mutex; runSweep
- * writes each out[i] from exactly one pool task and reads them only
- * after the parallelFor barrier, which is the happens-before edge.
+ * writes each distinct cell's result from exactly one pool task and
+ * reads them (to fill out[i]) only after the parallelFor barrier,
+ * which is the happens-before edge.
  */
 
 #ifndef STARNUMA_DRIVER_SWEEP_HH
@@ -47,7 +49,9 @@ struct SweepJob
 
 /**
  * Run every job across the worker pool; out[i] is job i's result
- * (for singleSocket jobs only .metrics is populated). Deterministic:
+ * (for singleSocket jobs only .metrics is populated). Jobs with the
+ * same cellKeyText (driver/artifact_key.hh) run once and share the
+ * result, so figures can declare overlapping cells. Deterministic:
  * the result vector does not depend on the pool size or schedule.
  */
 std::vector<ExperimentResult> runSweep(

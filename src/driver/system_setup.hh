@@ -49,6 +49,13 @@ struct SystemSetup
     bool replicateReadOnly = false;
     core::ReplicationConfig replication;
 
+    /**
+     * Ablation of §III-D3: model conventional software TLB
+     * shootdowns (an IPI + kernel handler on every core per
+     * migrated page) instead of the DiDi-style hardware support.
+     */
+    bool softwareShootdowns = false;
+
     // --- §V configurations ---
 
     /** Baseline 16-socket, perfect-knowledge page migration. */

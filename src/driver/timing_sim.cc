@@ -514,7 +514,7 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
             continue;
         machine.pages.setHome(page, to);
         ++statShootdownPages;
-        if (options.softwareShootdowns) {
+        if (setup.softwareShootdowns) {
             // Conventional shootdown: every core takes an IPI and
             // enters the kernel for every migrated page [64].
             core::ShootdownModel model;

@@ -38,13 +38,6 @@ struct TimingOptions
      * memory" reference of Table III.
      */
     bool singleSocketLocal = false;
-
-    /**
-     * Ablation of §III-D3: model conventional software TLB
-     * shootdowns (an IPI + kernel handler on every core per
-     * migrated page) instead of the DiDi-style hardware support.
-     */
-    bool softwareShootdowns = false;
 };
 
 /** Core-model parameters (Table I, scaled per Table II). */

@@ -137,18 +137,6 @@ Cache::invalidatePage(Addr addr)
     return dropped;
 }
 
-void
-Cache::reset()
-{
-    std::fill(tags.begin(), tags.end(), emptyTag);
-    std::fill(lastUse.begin(), lastUse.end(), 0);
-    std::fill(bits.begin(), bits.end(), SetBits{});
-    useClock = 0;
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-}
-
 // lint: cold-path stats export, once per run when observing
 void
 Cache::registerStats(obs::Registry &r,

@@ -91,9 +91,6 @@ class Cache
     /** Invalidate every block of the page containing @p addr. */
     int invalidatePage(Addr addr);
 
-    /** Drop all contents and zero the stats. */
-    void reset();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }

@@ -145,17 +145,6 @@ Directory::dirtyOwner(Addr block) const
     return slots[probe(block)].owner;
 }
 
-void
-Directory::reset()
-{
-    std::fill(slots.begin(), slots.end(), freeSlot);
-    used = 0;
-    transactions_ = 0;
-    blockTransfers_ = 0;
-    poolTransfers_ = 0;
-    invalidations_ = 0;
-}
-
 // lint: cold-path stats export, once per run when observing
 void
 Directory::registerStats(obs::Registry &r,

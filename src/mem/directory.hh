@@ -104,9 +104,6 @@ class Directory
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
 
-    /** Forget every block and zero the counters; keeps capacity. */
-    void reset();
-
   private:
     /**
      * One tracked block, stored inline in the open-addressing table

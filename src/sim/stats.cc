@@ -30,15 +30,6 @@ Histogram::sample(double v, std::uint64_t weight)
     total_ += weight;
 }
 
-void
-Histogram::reset()
-{
-    for (auto &c : counts)
-        c = 0;
-    total_ = 0;
-    overflow_ = 0;
-}
-
 double
 Histogram::fraction(std::size_t i) const
 {

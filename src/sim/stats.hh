@@ -36,14 +36,6 @@ class Mean
         ++count_;
     }
 
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = max_ = 0;
-    }
-
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double
@@ -71,7 +63,6 @@ class Histogram
     Histogram(std::size_t buckets, double width);
 
     void sample(double v, std::uint64_t weight = 1);
-    void reset();
 
     std::uint64_t total() const { return total_; }
     std::uint64_t bucket(std::size_t i) const { return counts.at(i); }

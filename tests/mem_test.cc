@@ -95,15 +95,6 @@ TEST(Cache, InvalidatePageDropsAllBlocks)
     EXPECT_TRUE(c.contains(0x8000));
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache c({4096, 4});
-    c.access(0x40, true);
-    c.reset();
-    EXPECT_FALSE(c.contains(0x40));
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-}
-
 TEST(Cache, HitRateTracksAccesses)
 {
     Cache c({1 << 16, 8});
@@ -215,13 +206,6 @@ class LineLruCache
         return dropped;
     }
 
-    void
-    reset()
-    {
-        lines.assign(lines.size(), Line{});
-        useClock = hits = misses = evictions = 0;
-    }
-
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -272,10 +256,9 @@ class CacheDifferential
 };
 
 /**
- * Random access/write/invalidate/invalidatePage/reset streams give
- * the same hit, victim and dirty-victim on every access, and the
- * same counters at the end, as the reference model (three resets
- * split the stream into four). Addresses cover
+ * Random access/write/invalidate/invalidatePage streams give the
+ * same hit, victim and dirty-victim on every access, and the same
+ * counters at the end, as the reference model. Addresses cover
  * four times the capacity, mostly in page-local runs, so sets fill,
  * evict, and mix valid with invalidated ways.
  */
@@ -301,9 +284,6 @@ TEST_P(CacheDifferential, MatchesArrayOfLinesLru)
             EXPECT_EQ(cache.invalidatePage(addr),
                       ref.invalidatePage(addr))
                 << "op " << i;
-        } else if (i % 100000 == 50000) {
-            cache.reset();
-            ref.reset();
         } else {
             bool write = rng.chance(0.3);
             CacheAccess got = cache.access(addr, write);
@@ -548,9 +528,6 @@ TEST(Directory, TransactionCountsAccumulate)
     EXPECT_EQ(dir.transactions(), 3u);
     EXPECT_EQ(dir.blockTransfers(), 1u);
     EXPECT_GE(dir.invalidations(), 2u);
-    dir.reset();
-    EXPECT_EQ(dir.transactions(), 0u);
-    EXPECT_FALSE(dir.cached(0x10));
 }
 
 class DirectorySharing : public ::testing::TestWithParam<int>
@@ -668,10 +645,7 @@ TEST(DirectoryDifferential, MatchesMapReferenceModel)
                              : wide[rng.range32(3000)];
             NodeId s = static_cast<NodeId>(rng.range32(16));
             std::uint32_t kind = rng.range32(20000);
-            if (kind == 0) {
-                dir.reset();
-                ref.entries.clear();
-            } else if (kind < 11000) {
+            if (kind < 11000) {
                 bool write = rng.range32(3) == 0;
                 NodeId home = static_cast<NodeId>(rng.range32(17));
                 CoherenceResult got = dir.access(block, s, write, home);

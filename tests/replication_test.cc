@@ -156,22 +156,17 @@ TEST(SoftwareShootdowns, ErodePerformance)
     SimScale s;
     s.phases = 3;
     s.phaseInstructions = 100000;
-    const auto &trace = driver::workloadTrace("bfs", s);
     driver::SystemSetup star = driver::SystemSetup::starnuma();
-    driver::TraceSim tsim(star, s);
-    auto placement = tsim.run(trace);
+    driver::SystemSetup star_sw = star;
+    star_sw.softwareShootdowns = true;
+    auto hw = driver::runExperiment("bfs", star, s);
+    auto sw = driver::runExperiment("bfs", star_sw, s);
 
-    driver::TimingSim hw(star, s);
-    auto hw_m = hw.run(trace, placement);
-
-    driver::TimingOptions opt;
-    opt.softwareShootdowns = true;
-    driver::TimingSim sw(star, s, opt);
-    auto sw_m = sw.run(trace, placement);
-
-    // IPIs on every core per migrated page must not help, and
-    // normally hurt (§III-D3).
-    EXPECT_LE(sw_m.ipc, hw_m.ipc * 1.02);
+    // The shootdown model is a step-C knob: step B's decisions are
+    // the same, and IPIs on every core per migrated page must not
+    // help, and normally hurt (§III-D3).
+    EXPECT_EQ(sw.placement.serialize(), hw.placement.serialize());
+    EXPECT_LE(sw.metrics.ipc, hw.metrics.ipc * 1.02);
 }
 
 } // anonymous namespace

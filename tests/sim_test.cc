@@ -241,8 +241,6 @@ TEST(Stats, MeanBasics)
     EXPECT_DOUBLE_EQ(m.min(), 10.0);
     EXPECT_DOUBLE_EQ(m.max(), 30.0);
     EXPECT_EQ(m.count(), 3u);
-    m.reset();
-    EXPECT_EQ(m.count(), 0u);
 }
 
 TEST(Stats, HistogramBucketsAndOverflow)

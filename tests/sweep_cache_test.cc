@@ -3,9 +3,10 @@
  * Incremental sweep engine (DESIGN.md §16): cache-key stability
  * goldens (each declared input perturbs the key; nothing else
  * does), warm-equals-cold byte identity across worker-pool sizes,
- * the two store tiers a cold run fills (trace and result), and the
+ * the two store tiers a cold run fills (trace and result), the
  * corruption contract at the experiment tier (a damaged stored
- * bundle demotes to recomputation with identical artifacts).
+ * bundle demotes to recomputation with identical artifacts), and
+ * runSweep's cell deduplication.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "driver/artifact_cache.hh"
 #include "driver/artifact_key.hh"
 #include "driver/experiment.hh"
+#include "driver/sweep.hh"
 #include "sim/cas/hash.hh"
 #include "sim/obs/obs.hh"
 #include "sim/parallel.hh"
@@ -100,10 +102,38 @@ TEST(CacheKey, ResultKeyPerturbation)
     pol.migration.hiThresholdStart += 1;
     EXPECT_NE(base, driver::resultKeyText("bfs", pol, s,
                                           fakeContent(), false));
+    driver::SystemSetup shoot = setup;
+    shoot.softwareShootdowns = true;
+    EXPECT_NE(base, driver::resultKeyText("bfs", shoot, s,
+                                          fakeContent(), false));
     driver::SystemSetup topo = setup;
     topo.sys.cxlOneWayNs += 1.0;
     EXPECT_NE(base, driver::resultKeyText("bfs", topo, s,
                                           fakeContent(), false));
+}
+
+TEST(CacheKey, CellKeyPerturbation)
+{
+    SimScale s = SimScale::tiny();
+    driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    std::string base = driver::cellKeyText("bfs", setup, s, false);
+    EXPECT_EQ(base, driver::cellKeyText("bfs", setup, s, false));
+    EXPECT_NE(base, driver::cellKeyText("tc", setup, s, false));
+    EXPECT_NE(base, driver::cellKeyText("bfs", setup, s, true));
+
+    // The name seeds step B's RNG, so it is part of the identity.
+    driver::SystemSetup renamed = setup;
+    renamed.name += "-copy";
+    EXPECT_NE(base, driver::cellKeyText("bfs", renamed, s, false));
+
+    // Two 128-thread scales (SC3's 8 cores per socket, 32 sockets
+    // of 4) are different cells.
+    SimScale more_cores = SimScale::sc1();
+    more_cores.coresPerSocket = 8;
+    SimScale more_sockets = SimScale::sc1();
+    more_sockets.sockets = 32;
+    EXPECT_NE(driver::cellKeyText("bfs", setup, more_cores, false),
+              driver::cellKeyText("bfs", setup, more_sockets, false));
 }
 
 // --- experiment-tier behaviour -------------------------------------
@@ -225,6 +255,41 @@ TEST(SweepCache, CorruptedBundleDemotesToRecompute)
     EXPECT_EQ(cache.resultHits(), 0u);
     EXPECT_EQ(cache.resultMisses(), 1u);
     EXPECT_EQ(placementBytes(redo), cold_bytes);
+}
+
+TEST(SweepCache, DuplicateJobRunsOnce)
+{
+    SimScale s = SimScale::tiny();
+    driver::SweepJob job{"cc", driver::SystemSetup::starnuma(), s};
+    ScopedCache cache_dir("sweep_cache_dedup");
+    driver::ArtifactCache &cache = driver::ArtifactCache::global();
+
+    std::vector<driver::ExperimentResult> r =
+        driver::runSweep({job, job});
+    ASSERT_EQ(r.size(), 2u);
+    // One pipeline ran: one result-tier miss, and no second lookup
+    // that a run after the first could have turned into a hit.
+    EXPECT_EQ(cache.resultMisses(), 1u);
+    EXPECT_EQ(cache.resultHits(), 0u);
+    EXPECT_EQ(placementBytes(r[1]), placementBytes(r[0]));
+    EXPECT_EQ(driver::metricsSnapshot(r[1].metrics).values(),
+              driver::metricsSnapshot(r[0].metrics).values());
+}
+
+TEST(SweepCache, SameNameDifferentPolicyStaysTwoCells)
+{
+    SimScale s = SimScale::tiny();
+    driver::SystemSetup a = driver::SystemSetup::starnuma();
+    driver::SystemSetup b = a;
+    b.migration.migrationLimitPages += 1;
+    ScopedCache cache_dir("sweep_cache_two_cells");
+    driver::ArtifactCache &cache = driver::ArtifactCache::global();
+
+    std::vector<driver::ExperimentResult> r =
+        driver::runSweep({{"cc", a, s}, {"cc", b, s}});
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(cache.resultMisses(), 2u);
+    EXPECT_EQ(cache.resultHits(), 0u);
 }
 
 TEST(SweepCache, TraceTierCountsCaptures)
